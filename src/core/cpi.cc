@@ -5,6 +5,7 @@
 #include <iterator>
 #include <limits>
 #include <type_traits>
+#include <utility>
 
 #include "la/vector_ops.h"
 #include "util/check.h"
@@ -70,17 +71,6 @@ la::DenseBlockT<V>& WsBlockNext(Cpi::Workspace& ws) {
   } else {
     return ws.block_next_f;
   }
-}
-
-template <typename V>
-void Propagate(const Graph& graph, bool use_pull, double decay,
-               const std::vector<V>& x, std::vector<V>& y) {
-  if (use_pull) {
-    graph.MultiplyTransposePullT<V>(x, y);
-  } else {
-    graph.MultiplyTransposeT<V>(x, y);
-  }
-  la::Scale(decay, y);
 }
 
 /// Scalar post-propagate phase of a sparse-head iteration, restricted to the
@@ -183,12 +173,6 @@ size_t FreezeConverged(const std::vector<double>& norms, double tolerance,
   return remaining;
 }
 
-/// Whether the adaptive head applies at all: the frontier kernels are
-/// scatter-shaped, so the pull flavor always runs dense.
-bool SparseHeadEnabled(const CpiOptions& options) {
-  return !options.use_pull && options.frontier_density_threshold > 0.0;
-}
-
 /// Scans x for its support and leaves it, sorted, in `frontier`.  Bails out
 /// (returns false) once the support exceeds the density limit — the run
 /// starts dense and no frontier is needed.
@@ -254,6 +238,8 @@ bool AbortAfterIteration(QueryContext* context, int i,
 /// holds x(i)'s support sorted ascending).  Returning true stops the run
 /// after the current iteration — the bound-driven top-k path's early
 /// termination; convergence still takes precedence in the result flags.
+/// The result is passed mutably: the windowed runner swaps a finished
+/// window's accumulation out of result.scores and leaves a zeroed one.
 template <typename V, typename Observer>
 Cpi::ResultT<V> RunScalarLoopObserved(const Graph& graph,
                                       const CpiOptions& options,
@@ -270,7 +256,7 @@ Cpi::ResultT<V> RunScalarLoopObserved(const Graph& graph,
   Cpi::ResultT<V> result;
   result.scores.assign(n, V{0});
 
-  bool sparse = SparseHeadEnabled(options);
+  bool sparse = options.frontier_density_threshold > 0.0;
   if (sparse && !frontier_ready) {
     sparse = ScanInitialFrontier(x, limit, ws.frontier);
   }
@@ -324,7 +310,8 @@ Cpi::ResultT<V> RunScalarLoopObserved(const Graph& graph,
         result.last_interim_norm = la::NormL1(x);
       }
     } else {
-      Propagate(graph, options.use_pull, decay, x, next);
+      graph.MultiplyTransposeT<V>(x, next);
+      la::Scale(decay, next);
       x.swap(next);
       result.last_iteration = i;
       if (i >= options.start_iteration) la::Axpy(1.0, x, result.scores);
@@ -530,6 +517,45 @@ class TopKTracker {
   la::TopKSelector selector_;
 };
 
+/// Iteration observer of the windowed runner: the scalar loop accumulates
+/// every iteration into result.scores, and after the last iteration of
+/// window w (breakpoints[w+1] − 1) the splitter takes that sum as window w
+/// and hands the loop a zeroed vector for window w+1.  Each window thus
+/// starts from +0.0 and adds the same x(i) in the same order as a run with
+/// start_iteration = breakpoints[w] — bitwise that run's scores.
+template <typename V>
+class WindowSplitter {
+ public:
+  WindowSplitter(std::span<const int> breakpoints, NodeId n)
+      : breakpoints_(breakpoints), n_(n), windows_(breakpoints.size()) {}
+
+  bool AfterIteration(int i, bool, Cpi::ResultT<V>& result,
+                      const Cpi::Workspace&) {
+    if (current_ + 1 < breakpoints_.size() &&
+        i + 1 == breakpoints_[current_ + 1]) {
+      windows_[current_++] = std::move(result.scores);
+      result.scores.assign(n_, V{0});
+    }
+    return false;
+  }
+
+  /// The partial sums, the running one included; windows the run never
+  /// reached (past convergence) are all-zero n-vectors.
+  std::vector<std::vector<V>> Finish(Cpi::ResultT<V>& result) {
+    windows_[current_] = std::move(result.scores);
+    for (size_t w = current_ + 1; w < windows_.size(); ++w) {
+      windows_[w].assign(n_, V{0});
+    }
+    return std::move(windows_);
+  }
+
+ private:
+  const std::span<const int> breakpoints_;
+  const NodeId n_;
+  size_t current_ = 0;
+  std::vector<std::vector<V>> windows_;
+};
+
 }  // namespace
 
 Status ValidateCpiParameters(double restart_probability, double tolerance) {
@@ -671,7 +697,7 @@ StatusOr<la::DenseBlockT<V>> Cpi::RunBatchT(
 
   // The union frontier: sorted unique seeds, a superset of every vector's
   // support.
-  bool sparse = SparseHeadEnabled(options);
+  bool sparse = options.frontier_density_threshold > 0.0;
   if (sparse) {
     ws.frontier.assign(seeds.begin(), seeds.end());
     std::sort(ws.frontier.begin(), ws.frontier.end());
@@ -706,9 +732,7 @@ StatusOr<la::DenseBlockT<V>> Cpi::RunBatchT(
       // path below; both orders produce bitwise-identical blocks.
       sparse = false;
     }
-    if (options.use_pull) {
-      graph.MultiplyTransposePullBlockT<V>(x, next);
-    } else if (sparse) {
+    if (sparse) {
       // Re-zero the stale support of the recycled buffer (the interim
       // block from two iterations ago), then scatter from the frontier.
       for (NodeId j : ws.next_frontier) {
@@ -765,63 +789,16 @@ StatusOr<std::vector<std::vector<V>>> Cpi::RunWindowedT(
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;
   std::vector<V>& x = WsX<V>(ws);
-  std::vector<V>& next = WsNext<V>(ws);
-
-  const NodeId n = graph.num_nodes();
-  const double c = options.restart_probability;
-  const double decay = 1.0 - c;
-  const double limit =
-      options.frontier_density_threshold * static_cast<double>(n);
-  const size_t num_windows = breakpoints.size();
-
-  std::vector<std::vector<V>> windows(num_windows,
-                                      std::vector<V>(n, V{0}));
-  auto window_of = [&breakpoints, num_windows](int i) {
-    size_t w = num_windows - 1;
-    while (w > 0 && i < breakpoints[w]) --w;
-    return w;
-  };
-
   x.assign(q.begin(), q.end());
-  la::Scale(c, x);
-  bool sparse = SparseHeadEnabled(options) &&
-                ScanInitialFrontier(x, limit, ws.frontier);
-  next.assign(n, V{0});
-  ws.next_frontier.clear();
+  la::Scale(options.restart_probability, x);
 
-  double norm;
-  if (sparse) {
-    norm = ScaleAccumulateAndNormFrontier<V>(1.0, ws.frontier, x,
-                                             windows[window_of(0)].data());
-  } else {
-    la::Axpy(1.0, x, windows[window_of(0)]);
-    norm = la::NormL1(x);
-  }
-
-  for (int i = 1;; ++i) {
-    if (norm < options.tolerance) break;
-    if (sparse) {
-      for (NodeId j : ws.next_frontier) next[j] = V{0};
-      const bool stayed = graph.TransitionT<V>().SpMvTransposeFrontier(
-          x, ws.frontier, options.frontier_density_threshold, next,
-          ws.next_frontier, ws.scratch);
-      x.swap(next);
-      if (stayed) {
-        ws.frontier.swap(ws.next_frontier);
-        norm = ScaleAccumulateAndNormFrontier<V>(decay, ws.frontier, x,
-                                                 windows[window_of(i)].data());
-        continue;
-      }
-      sparse = false;
-      la::Scale(decay, x);
-    } else {
-      Propagate(graph, options.use_pull, decay, x, next);
-      x.swap(next);
-    }
-    la::Axpy(1.0, x, windows[window_of(i)]);
-    norm = la::NormL1(x);
-  }
-  return windows;
+  CpiOptions run = options;
+  run.start_iteration = 0;
+  run.terminal_iteration = CpiOptions::kUnbounded;
+  WindowSplitter<V> splitter(breakpoints, graph.num_nodes());
+  Cpi::ResultT<V> result = RunScalarLoopObserved<V>(
+      graph, run, ws, /*frontier_ready=*/false, splitter);
+  return splitter.Finish(result);
 }
 
 StatusOr<std::vector<double>> Cpi::PageRank(const Graph& graph,

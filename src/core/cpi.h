@@ -27,17 +27,14 @@ struct CpiOptions {
   /// Last accumulated iteration (t_iter), inclusive; kUnbounded runs to
   /// convergence.
   int terminal_iteration = kUnbounded;
-  /// Gather (pull) matvec over in-edges instead of scatter over out-edges;
-  /// identical results, different memory access pattern (ablation knob).
-  bool use_pull = false;
-  /// Frontier-adaptive propagation (push flavor only): iterations run
-  /// frontier-sparse — scattering only from the interim vector's nonzero
-  /// rows and touching only the rows they reach — while the frontier holds
-  /// at most this fraction of all nodes, then switch permanently to the
-  /// dense kernels.  0 disables the sparse head (every iteration dense);
-  /// 1 stays sparse to convergence.  Results are bitwise-identical at any
-  /// setting; this is purely a throughput knob (`bench_kernels --json`
-  /// records the measured crossover).
+  /// Frontier-adaptive propagation: iterations run frontier-sparse —
+  /// scattering only from the interim vector's nonzero rows and touching
+  /// only the rows they reach — while the frontier holds at most this
+  /// fraction of all nodes, then switch permanently to the dense kernels.
+  /// 0 disables the sparse head (every iteration dense); 1 stays sparse to
+  /// convergence.  Results are bitwise-identical at any setting; this is
+  /// purely a throughput knob (`bench_kernels --json` records the measured
+  /// crossover).
   double frontier_density_threshold = 0.125;
   /// Optional fork-join runner for the dense-tail propagation of RunBatch:
   /// the SpMM scatter is partitioned by destination range, which keeps it
@@ -185,7 +182,10 @@ class Cpi {
   /// [breakpoints[w], breakpoints[w+1]) and the final window extends to ∞.
   /// E.g. breakpoints {0, S, T} yields exactly the paper's family, neighbor,
   /// and stranger parts in one sweep.  Breakpoints must start at 0 and be
-  /// strictly increasing.
+  /// strictly increasing.  Window w is bitwise RunWithSeedVectorT's scores
+  /// with start_iteration = breakpoints[w] and terminal_iteration =
+  /// breakpoints[w+1] − 1 (windows past convergence are all-zero);
+  /// options.start_iteration and terminal_iteration are ignored.
   template <typename V>
   static StatusOr<std::vector<std::vector<V>>> RunWindowedT(
       const Graph& graph, const std::vector<V>& q,

@@ -21,7 +21,7 @@ namespace tpa {
 /// submitted before destruction runs to completion — and then joins.
 ///
 /// ThreadPool also implements la::TaskRunner, so the partitioned dense
-/// kernels (CsrMatrix::SpMmTransposeParallel) can fan one SpMM across the
+/// kernel (CsrMatrix::SpMmTransposeParallel) can fan one SpMM across the
 /// same workers that serve queries.
 class ThreadPool : public la::TaskRunner {
  public:

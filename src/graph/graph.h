@@ -63,11 +63,12 @@ enum class ValueStorage : uint8_t {
 /// structure directly and work regardless of tiers; the typed matrix
 /// accessors CHECK that the requested tier is materialized.
 ///
-/// The in/out dual layout supports the two product flavors used throughout
-/// the library:
-///  * push (scatter) over out-edges  — natural for CPI/TPA,
-///  * pull (gather) over in-edges    — natural for per-node residual updates
-///    in push-style local methods and exposed for the ablation benchmarks.
+/// The in/out dual layout serves two kinds of reader.  The transition
+/// products are push-only: a scatter over the out-edge CSR computes Ã^T·x
+/// for CPI/TPA and every power-iteration method.  The in-edge structure
+/// (InNeighbors/InDegree) serves the per-node residual updates of the
+/// push-style local methods and the degree statistics; its value layers
+/// are kept (and serialized) but no kernel reads them.
 ///
 /// Dangling nodes (out-degree 0) lose their score mass during propagation,
 /// matching CPI's column-substochastic treatment; graph sources that need
@@ -191,18 +192,6 @@ class Graph {
     MultiplyTransposeT<double>(x, y);
   }
 
-  /// y = Ã^T x via pull/gather over in-edges; bitwise-equal semantics to
-  /// MultiplyTranspose up to floating point association order.
-  template <typename V>
-  void MultiplyTransposePullT(const std::vector<V>& x,
-                              std::vector<V>& y) const {
-    TransitionTransposeT<V>().SpMv(x, y);
-  }
-  void MultiplyTransposePull(const std::vector<double>& x,
-                             std::vector<double>& y) const {
-    MultiplyTransposePullT<double>(x, y);
-  }
-
   /// Y = Ã^T X for a whole block of vectors in one sweep over the out-edge
   /// CSR arrays; vector b of Y is bitwise-identical to MultiplyTranspose on
   /// vector b of X (see CsrMatrixT::SpMmTranspose).
@@ -216,38 +205,12 @@ class Graph {
     MultiplyTransposeBlockT<double>(x, y);
   }
 
-  /// Pull-flavor block product over the in-edge CSR arrays; per-vector
-  /// bitwise match of MultiplyTransposePull.
-  template <typename V>
-  void MultiplyTransposePullBlockT(const la::DenseBlockT<V>& x,
-                                   la::DenseBlockT<V>& y) const {
-    TransitionTransposeT<V>().SpMm(x, y);
-  }
-  void MultiplyTransposePullBlock(const la::DenseBlock& x,
-                                  la::DenseBlock& y) const {
-    MultiplyTransposePullBlockT<double>(x, y);
-  }
-
-  /// Parallel y = Ã^T x: the scatter partitioned by destination range and
-  /// dispatched on `runner`.  Each destination is owned by exactly one
-  /// partition, so the result is bitwise-identical to MultiplyTranspose
-  /// regardless of scheduling.  The nnz-balanced partition is computed once
-  /// per (graph, parts) pair and cached.
-  template <typename V>
-  void MultiplyTransposeParallelT(const std::vector<V>& x, std::vector<V>& y,
-                                  la::TaskRunner& runner) const {
-    TransitionT<V>().SpMvTransposeParallel(
-        x, y, OutColumnPartition(static_cast<size_t>(runner.concurrency())),
-        runner);
-  }
-  void MultiplyTransposeParallel(const std::vector<double>& x,
-                                 std::vector<double>& y,
-                                 la::TaskRunner& runner) const {
-    MultiplyTransposeParallelT<double>(x, y, runner);
-  }
-
-  /// Parallel block flavor; per-vector bitwise match of
-  /// MultiplyTransposeBlock — the engine's intra-group parallel SpMM.
+  /// Parallel Y = Ã^T X: the block scatter partitioned by destination range
+  /// and dispatched on `runner` — the engine's intra-group parallel SpMM.
+  /// Each destination is owned by exactly one partition, so vector b is
+  /// bitwise-identical to MultiplyTransposeBlock regardless of scheduling.
+  /// The nnz-balanced partition is computed once per (graph, parts) pair
+  /// and cached.
   template <typename V>
   void MultiplyTransposeBlockParallelT(const la::DenseBlockT<V>& x,
                                        la::DenseBlockT<V>& y,

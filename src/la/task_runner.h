@@ -7,9 +7,9 @@
 namespace tpa::la {
 
 /// Minimal parallel-execution interface consumed by the partitioned dense
-/// kernels (CsrMatrix::SpMvTransposeParallel / SpMmTransposeParallel).
+/// kernel (CsrMatrix::SpMmTransposeParallel).
 ///
-/// The kernels only need a blocking fork-join over an index range; keeping
+/// The kernel only needs a blocking fork-join over an index range; keeping
 /// the interface here (rather than depending on the engine's ThreadPool)
 /// preserves the layering la ← core ← method ← engine.  The engine's
 /// ThreadPool implements it; SerialTaskRunner is the trivial

@@ -87,6 +87,9 @@ struct MetaSection {
   double tolerance;
   int32_t family_window;
   int32_t stranger_start;
+  // Reserved: the retired pull (gather) propagation flavor.  Writers store
+  // 0; readers reject any other value, because such a file's stranger tail
+  // was summed in the gather order, not the scatter order queries now use.
   uint32_t use_pull;
   uint32_t pad1;
   double frontier_density_threshold;

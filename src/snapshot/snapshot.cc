@@ -225,6 +225,11 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
           static_cast<uint32_t>(ValueStorage::kRowConstant)) {
     return CorruptError(path, "meta enum field out of range");
   }
+  if (meta.use_pull != 0) {
+    return CorruptError(path,
+                        "written by the retired pull propagation flavor; "
+                        "re-preprocess and save it again");
+  }
   if (meta.num_nodes == 0 || meta.num_nodes > UINT32_MAX) {
     return CorruptError(path, "node count out of the NodeId range");
   }
@@ -298,7 +303,6 @@ SnapshotInfo InfoFromParsed(const ParsedSnapshot& parsed) {
   info.options.tolerance = meta.tolerance;
   info.options.family_window = meta.family_window;
   info.options.stranger_start = meta.stranger_start;
-  info.options.use_pull = meta.use_pull != 0;
   info.options.frontier_density_threshold = meta.frontier_density_threshold;
   info.options.topk_frontier_density_threshold =
       meta.topk_frontier_density_threshold;
@@ -357,7 +361,6 @@ Status WriteSnapshot(const Tpa& tpa, const std::string& path) {
   meta.tolerance = options.tolerance;
   meta.family_window = options.family_window;
   meta.stranger_start = options.stranger_start;
-  meta.use_pull = options.use_pull ? 1 : 0;
   meta.frontier_density_threshold = options.frontier_density_threshold;
   meta.topk_frontier_density_threshold =
       options.topk_frontier_density_threshold;

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -151,17 +152,6 @@ TEST(CpiTest, MultiSeedDistributesUniformly) {
   EXPECT_LT(la::L1Distance(multi->scores, avg), 1e-7);
 }
 
-TEST(CpiTest, PushAndPullVariantsAgree) {
-  Graph graph = TestGraph();
-  CpiOptions push, pull;
-  pull.use_pull = true;
-  auto a = Cpi::ExactRwr(graph, 9, push);
-  auto b = Cpi::ExactRwr(graph, 9, pull);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_LT(la::L1Distance(*a, *b), 1e-10);
-}
-
 TEST(CpiTest, IterationCountFormula) {
   // Lemma 4: iterations ≈ log_{1-c}(ε/c).
   const int iters = CpiIterationCount(0.15, 1e-9);
@@ -300,6 +290,68 @@ TEST(CpiAdaptiveTest, ReusedWorkspaceIsBitwiseStable) {
           << "window " << w << " node " << i;
     }
   }
+}
+
+/// Windowed CPI is one propagation cut into windows: window w must be
+/// bitwise the scores of a run that accumulates exactly iterations
+/// [breakpoints[w], breakpoints[w+1]) (the last window unbounded), on the
+/// dense loop, the sparse head and across the switch between them.
+/// Windows that start after convergence hold all-zero n-vectors.  The
+/// windowed call gets stray start/terminal iterations, which it ignores.
+template <typename V>
+void ExpectWindowsAreBoundedRuns(const Graph& graph) {
+  const NodeId n = graph.num_nodes();
+  std::vector<V> q(n, V{0});
+  q[11] = static_cast<V>(0.75);
+  q[250] = static_cast<V>(0.25);
+  auto full = Cpi::RunWithSeedVectorT<V>(graph, q, {});
+  ASSERT_TRUE(full.ok());
+  ASSERT_LT(full->last_iteration, 400);  // {0, 3, 400, 900} ends past it
+
+  for (double threshold :
+       {0.0, CpiOptions{}.frontier_density_threshold, 1.0}) {
+    for (const std::vector<int>& breakpoints :
+         {std::vector<int>{0, 5, 10}, std::vector<int>{0, 3, 400, 900}}) {
+      CpiOptions options;
+      options.frontier_density_threshold = threshold;
+      CpiOptions windowed_options = options;
+      windowed_options.start_iteration = 2;
+      windowed_options.terminal_iteration = 6;
+      auto windows =
+          Cpi::RunWindowedT<V>(graph, q, breakpoints, windowed_options);
+      ASSERT_TRUE(windows.ok());
+      ASSERT_EQ(windows->size(), breakpoints.size());
+      for (size_t w = 0; w < breakpoints.size(); ++w) {
+        const std::string label = "threshold " + std::to_string(threshold) +
+                                  " window start " +
+                                  std::to_string(breakpoints[w]);
+        CpiOptions bounded = options;
+        bounded.start_iteration = breakpoints[w];
+        bounded.terminal_iteration = w + 1 < breakpoints.size()
+                                         ? breakpoints[w + 1] - 1
+                                         : CpiOptions::kUnbounded;
+        auto expected = Cpi::RunWithSeedVectorT<V>(graph, q, bounded);
+        ASSERT_TRUE(expected.ok()) << label;
+        const std::vector<V>& got = (*windows)[w];
+        ASSERT_EQ(got.size(), n) << label;
+        const bool past_convergence = breakpoints[w] > full->last_iteration;
+        for (NodeId i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], expected->scores[i]) << label << " node " << i;
+          if (past_convergence) {
+            ASSERT_EQ(got[i], V{0}) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CpiWindowedTest, WindowsAreBitwiseTheBoundedRunsAtBothTiers) {
+  const Graph graph = TestGraph();
+  ExpectWindowsAreBoundedRuns<double>(graph);
+  const Graph graph32 =
+      RematerializeWithPrecision(graph, la::Precision::kFloat32);
+  ExpectWindowsAreBoundedRuns<float>(graph32);
 }
 
 // ---------------------------------------------------------------------------

@@ -134,28 +134,6 @@ TEST(GraphTest, MultiplyTransposeIsColumnStochastic) {
   EXPECT_NEAR(la::NormL1(y), 1.0, 1e-12);
 }
 
-TEST(GraphTest, PushAndPullMatvecsAgree) {
-  GraphBuilder builder(6);
-  builder.AddEdge(0, 1);
-  builder.AddEdge(1, 2);
-  builder.AddEdge(2, 0);
-  builder.AddEdge(2, 3);
-  builder.AddEdge(3, 4);
-  builder.AddEdge(4, 5);
-  builder.AddEdge(5, 0);
-  auto graph = builder.Build();
-  ASSERT_TRUE(graph.ok());
-
-  std::vector<double> x = {0.1, 0.2, 0.3, 0.1, 0.2, 0.1};
-  std::vector<double> push, pull;
-  graph->MultiplyTranspose(x, push);
-  graph->MultiplyTransposePull(x, pull);
-  ASSERT_EQ(push.size(), pull.size());
-  for (size_t i = 0; i < push.size(); ++i) {
-    EXPECT_NEAR(push[i], pull[i], 1e-14);
-  }
-}
-
 TEST(GraphTest, MultiplyTransposeExactValues) {
   // 0 → {1, 2}: x[0] splits evenly.
   GraphBuilder builder(3);

@@ -37,17 +37,6 @@ TEST(CsrMatrixTest, BasicAccessors) {
             4 * sizeof(uint64_t) + 3 * sizeof(uint32_t) + 3 * sizeof(double));
 }
 
-TEST(CsrMatrixTest, SpMvGather) {
-  la::CsrMatrix m = SmallMatrix();
-  std::vector<double> x = {1.0, 2.0, 3.0};
-  std::vector<double> y;
-  m.SpMv(x, y);
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_DOUBLE_EQ(y[0], 4.0);   // 2·x1
-  EXPECT_DOUBLE_EQ(y[1], 10.0);  // 1·x0 + 3·x2
-  EXPECT_DOUBLE_EQ(y[2], 0.0);
-}
-
 TEST(CsrMatrixTest, SpMvTransposeScatter) {
   la::CsrMatrix m = SmallMatrix();
   std::vector<double> x = {1.0, 2.0, 3.0};
@@ -101,12 +90,9 @@ TEST_P(CsrGraphTest, SpMvMatchesAdjacencyMatVec) {
   const std::vector<double> reference = AdjacencyMatVec(*graph, x);
   std::vector<double> push;
   graph->MultiplyTranspose(x, push);
-  std::vector<double> pull;
-  graph->MultiplyTransposePull(x, pull);
 
   ASSERT_EQ(push.size(), reference.size());
   EXPECT_LT(la::L1Distance(push, reference), 1e-12);
-  EXPECT_LT(la::L1Distance(pull, reference), 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrGraphTest, ::testing::Values(1u, 7u, 42u));

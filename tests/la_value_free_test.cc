@@ -74,9 +74,9 @@ la::CsrMatrixT<V> ExplicitTwin(const la::CsrMatrixT<V>& a) {
 }
 
 /// Runs the full kernel family on `vf` and its explicit twin and asserts
-/// bitwise-identical outputs: SpMv, SpMvTranspose, SpMm/SpMmTranspose at
-/// specialized and generic widths, the frontier heads in both directions,
-/// and the range/parallel scatter drivers.
+/// bitwise-identical outputs: SpMvTranspose, and SpMmTranspose with its
+/// range and parallel drivers at specialized and generic widths, and the
+/// frontier scatter head.
 template <typename V>
 void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
                            const std::string& label) {
@@ -86,35 +86,45 @@ void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
   ASSERT_EQ(ex.structure().col_indices.data(),
             vf.structure().col_indices.data());
 
-  const std::vector<V> x_cols = RandomVector<V>(vf.cols(), seed);
   const std::vector<V> x_rows = RandomVector<V>(vf.rows(), seed + 1);
 
   std::vector<V> y_vf, y_ex;
-  vf.SpMv(x_cols, y_vf);
-  ex.SpMv(x_cols, y_ex);
-  ExpectBitwiseEq(y_vf, y_ex, label + " SpMv");
-
   vf.SpMvTranspose(x_rows, y_vf);
   ex.SpMvTranspose(x_rows, y_ex);
   ExpectBitwiseEq(y_vf, y_ex, label + " SpMvTranspose");
 
+  ThreadPool pool(2);
+  const std::vector<uint32_t> boundaries = vf.NnzBalancedColumnRanges(2);
+  const uint32_t third = vf.cols() / 3;
+  const std::vector<std::pair<uint32_t, uint32_t>> ranges = {
+      {0, third}, {third, 2 * third}, {2 * third, vf.cols()}};
   for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{8},
                        size_t{16}, size_t{17}}) {
     const std::string wlabel = label + " width " + std::to_string(width);
-    la::DenseBlockT<V> bx_cols(vf.cols(), width);
     la::DenseBlockT<V> bx_rows(vf.rows(), width);
     for (size_t b = 0; b < width; ++b) {
-      bx_cols.SetVector(b, RandomVector<V>(vf.cols(), seed + 100 * (b + 1)));
       bx_rows.SetVector(b, RandomVector<V>(vf.rows(), seed + 101 * (b + 1)));
     }
     la::DenseBlockT<V> by_vf, by_ex;
-    vf.SpMm(bx_cols, by_vf);
-    ex.SpMm(bx_cols, by_ex);
-    ExpectBitwiseEq(by_vf, by_ex, wlabel + " SpMm");
-
     vf.SpMmTranspose(bx_rows, by_vf);
     ex.SpMmTranspose(bx_rows, by_ex);
     ExpectBitwiseEq(by_vf, by_ex, wlabel + " SpMmTranspose");
+
+    // Range scatter: thirds of the destination space compose to the full
+    // kernel; each range must agree across modes.
+    la::DenseBlockT<V> ry_vf(vf.cols(), width), ry_ex(vf.cols(), width);
+    for (const auto& [begin, end] : ranges) {
+      vf.SpMmTransposeRange(bx_rows, ry_vf, begin, end);
+      ex.SpMmTransposeRange(bx_rows, ry_ex, begin, end);
+    }
+    ExpectBitwiseEq(ry_vf, ry_ex, wlabel + " SpMmTransposeRange");
+    ExpectBitwiseEq(ry_vf, by_ex, wlabel + " range composition");
+
+    // Parallel scatter driver over an nnz-balanced partition.
+    la::DenseBlockT<V> py_vf, py_ex;
+    vf.SpMmTransposeParallel(bx_rows, py_vf, boundaries, pool);
+    ex.SpMmTransposeParallel(bx_rows, py_ex, boundaries, pool);
+    ExpectBitwiseEq(py_vf, py_ex, wlabel + " SpMmTransposeParallel");
   }
 
   // Frontier scatter: a sparse x supported on a few rows, full pipeline.
@@ -136,50 +146,10 @@ void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
     ExpectBitwiseEq(sy_vf, sy_ex, label + " SpMvTransposeFrontier");
     EXPECT_EQ(next_vf, next_ex) << label;
   }
-
-  // Frontier gather: every row as candidate ≡ dense, both matrices.
-  {
-    std::vector<uint32_t> candidates(vf.rows());
-    for (uint32_t r = 0; r < vf.rows(); ++r) candidates[r] = r;
-    std::vector<V> gy_vf(vf.rows(), V{0}), gy_ex(vf.rows(), V{0});
-    std::vector<uint32_t> nz_vf, nz_ex;
-    ASSERT_EQ(vf.SpMvFrontier(x_cols, candidates, 1.5, gy_vf, nz_vf),
-              ex.SpMvFrontier(x_cols, candidates, 1.5, gy_ex, nz_ex))
-        << label;
-    ExpectBitwiseEq(gy_vf, gy_ex, label + " SpMvFrontier");
-    EXPECT_EQ(nz_vf, nz_ex) << label;
-  }
-
-  // Range scatter: thirds of the destination space compose to the full
-  // kernel; each range must agree across modes.
-  {
-    std::vector<V> ry_vf(vf.cols(), V{0}), ry_ex(vf.cols(), V{0});
-    const uint32_t third = vf.cols() / 3;
-    const std::vector<std::pair<uint32_t, uint32_t>> ranges = {
-        {0, third}, {third, 2 * third}, {2 * third, vf.cols()}};
-    for (const auto& [begin, end] : ranges) {
-      vf.SpMvTransposeRange(x_rows, ry_vf, begin, end);
-      ex.SpMvTransposeRange(x_rows, ry_ex, begin, end);
-    }
-    ExpectBitwiseEq(ry_vf, ry_ex, label + " SpMvTransposeRange");
-    ex.SpMvTranspose(x_rows, y_ex);
-    ExpectBitwiseEq(ry_vf, y_ex, label + " range composition");
-  }
-
-  // Parallel scatter driver over an nnz-balanced partition.
-  {
-    ThreadPool pool(2);
-    const std::vector<uint32_t> boundaries = vf.NnzBalancedColumnRanges(2);
-    std::vector<V> py_vf, py_ex;
-    vf.SpMvTransposeParallel(x_rows, py_vf, boundaries, pool);
-    ex.SpMvTransposeParallel(x_rows, py_ex, boundaries, pool);
-    ExpectBitwiseEq(py_vf, py_ex, label + " SpMvTransposeParallel");
-  }
 }
 
 /// The adversarial structure every mode is exercised on: 6×6 with empty
-/// rows 1, 3, 5, a full row, and boundary columns.  Square so that both
-/// scatter and gather directions have matching operand sizes.
+/// rows 1, 3, 5, a full row, and boundary columns.
 la::CsrStructure AdversarialStructure() {
   return la::MakeCsrStructure(6, 6, {0, 2, 2, 3, 3, 7, 7},
                               {1, 3, 0, 0, 2, 4, 5});
@@ -229,7 +199,7 @@ TEST(ValueFreeKernelTest, AllRowsEmpty) {
   la::CsrMatrix a(4, 4, {0, 0, 0, 0, 0}, {}, la::CsrValueMode::kRowConstant);
   CheckValueFreeBitwise(a, 17, "all-empty");
   std::vector<double> y(4, 99.0);
-  a.SpMv({1.0, 2.0, 3.0, 4.0}, y);
+  a.SpMvTranspose({1.0, 2.0, 3.0, 4.0}, y);
   ExpectBitwiseEq(y, {0.0, 0.0, 0.0, 0.0}, "all-empty overwrite");
 }
 
@@ -309,9 +279,17 @@ void CheckGraphsBitwise(const Graph& vf, const Graph& ex, uint64_t seed) {
   vf.TransitionT<V>().SpMvTranspose(x, y_vf);
   ex.TransitionT<V>().SpMvTranspose(x, y_ex);
   ExpectBitwiseEq(y_vf, y_ex, "graph push");
-  vf.TransitionTransposeT<V>().SpMv(x, y_vf);
-  ex.TransitionTransposeT<V>().SpMv(x, y_ex);
-  ExpectBitwiseEq(y_vf, y_ex, "graph pull");
+  // The in-edge value layer no kernel reads: still bitwise per edge.
+  const la::CsrMatrixT<V>& in_vf = vf.TransitionTransposeT<V>();
+  const la::CsrMatrixT<V>& in_ex = ex.TransitionTransposeT<V>();
+  const std::span<const uint64_t> offsets =
+      in_vf.structure().row_offsets.span();
+  for (uint32_t r = 0; r < in_vf.rows(); ++r) {
+    for (uint64_t e = offsets[r]; e < offsets[r + 1]; ++e) {
+      ASSERT_EQ(in_vf.EdgeWeight(r, e), in_ex.EdgeWeight(r, e))
+          << "graph in-edge weight row " << r << " edge " << e;
+    }
+  }
 }
 
 TEST(ValueFreeGraphTest, ValueFreeGraphMatchesExplicitBitwise) {

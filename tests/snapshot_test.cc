@@ -3,8 +3,9 @@
 /// CsrValueModes), both load modes (mmap views and heap copies), and
 /// reordered graphs; warm-started engines (sync and async) serving bitwise
 /// the fresh-preprocess results; the corruption matrix (truncation, bad
-/// magic/version/endianness, checksum flips) surfacing as Status errors —
-/// never crashes; and mmap-view lifetime under ASan.
+/// magic/version/endianness, checksum flips, retired pull-flavor files)
+/// surfacing as Status errors — never crashes; and mmap-view lifetime under
+/// ASan.
 
 #include "snapshot/snapshot.h"
 
@@ -12,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -25,6 +27,7 @@
 #include "snapshot/format.h"
 #include "util/failpoint.h"
 #include "util/mem_stats.h"
+#include "util/serial.h"
 
 namespace tpa {
 namespace {
@@ -245,6 +248,56 @@ TEST_F(SnapshotTest, CorruptFilesAreRejectedWithClearErrors) {
   EXPECT_FALSE(snapshot::VerifySnapshot(path_).ok());
   EXPECT_FALSE(snapshot::LoadSnapshot(path_).ok());
   EXPECT_FALSE(snapshot::ReadSnapshotInfo(path_).ok());
+}
+
+/// A file written by the retired pull propagation flavor (meta use_pull
+/// set) carries a stranger tail summed in a different order; every entry
+/// point refuses it by name, even with both checksums resealed.
+TEST_F(SnapshotTest, PullFlavorSnapshotsAreRejected) {
+  const Graph graph =
+      MakeGraph(la::Precision::kFloat64, ValueStorage::kRowConstant);
+  ASSERT_TRUE(MakeTpa(graph).SaveSnapshot(path_).ok());
+  std::vector<uint8_t> bytes = ReadFileBytes();
+
+  snapshot::SnapshotHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  std::vector<snapshot::SectionDesc> table(header.section_count);
+  std::memcpy(table.data(), bytes.data() + header.section_table_offset,
+              table.size() * sizeof(snapshot::SectionDesc));
+  snapshot::SectionDesc* meta_desc = nullptr;
+  for (snapshot::SectionDesc& desc : table) {
+    if (desc.id == static_cast<uint32_t>(snapshot::SectionId::kMeta)) {
+      meta_desc = &desc;
+    }
+  }
+  ASSERT_NE(meta_desc, nullptr);
+  snapshot::MetaSection meta;
+  std::memcpy(&meta, bytes.data() + meta_desc->offset, sizeof(meta));
+  ASSERT_EQ(meta.use_pull, 0u);  // the writer stores the reserved word as 0
+
+  meta.use_pull = 1;
+  std::memcpy(bytes.data() + meta_desc->offset, &meta, sizeof(meta));
+  meta_desc->crc = Crc32(&meta, sizeof(meta));
+  std::memcpy(bytes.data() + header.section_table_offset, table.data(),
+              table.size() * sizeof(snapshot::SectionDesc));
+  header.section_table_crc =
+      Crc32(table.data(), table.size() * sizeof(snapshot::SectionDesc));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  WriteFileBytes(bytes);
+
+  const std::string needle = "retired pull propagation flavor";
+  const Status verify = snapshot::VerifySnapshot(path_);
+  EXPECT_FALSE(verify.ok());
+  EXPECT_NE(verify.message().find(needle), std::string::npos)
+      << verify.message();
+  const auto info = snapshot::ReadSnapshotInfo(path_);
+  ASSERT_FALSE(info.ok());
+  EXPECT_NE(info.status().message().find(needle), std::string::npos)
+      << info.status().message();
+  const auto loaded = snapshot::LoadSnapshot(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find(needle), std::string::npos)
+      << loaded.status().message();
 }
 
 /// The mmap views must keep the mapping alive through arbitrary moves: the
