@@ -9,7 +9,6 @@
 #include "la/csr_matrix.h"
 #include "la/dense_block.h"
 #include "la/precision.h"
-#include "la/task_runner.h"
 #include "la/topk.h"
 #include "util/query_context.h"
 #include "util/status.h"
@@ -36,12 +35,6 @@ struct CpiOptions {
   /// purely a throughput knob (`bench_kernels --json` records the measured
   /// crossover).
   double frontier_density_threshold = 0.125;
-  /// Optional fork-join runner for the dense-tail propagation of RunBatch:
-  /// the SpMM scatter is partitioned by destination range, which keeps it
-  /// deterministic and bitwise-identical to the serial sweep.  Serial when
-  /// null.  Not owned.
-  la::TaskRunner* task_runner = nullptr;
-
   static constexpr int kUnbounded = std::numeric_limits<int>::max();
 };
 
@@ -150,8 +143,7 @@ class Cpi {
   /// Batched CPI: runs the window for B single-node seeds at once, sharing
   /// one SpMM sweep over the CSR arrays per iteration instead of B
   /// independent SpMv sweeps.  The first iterations run frontier-sparse
-  /// over the batch's union frontier, the tail dense (optionally
-  /// partition-parallel via options.task_runner).  Vector b of the returned
+  /// over the batch's union frontier, the tail dense.  Vector b of the returned
   /// block is bitwise-identical to RunT(graph, {seeds[b]}, options).scores —
   /// each seed's accumulation stops at exactly the iteration where its own
   /// scalar run would have converged, and the blocked kernels reproduce the

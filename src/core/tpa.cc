@@ -239,8 +239,7 @@ StatusOr<la::DenseBlockT<V>> Tpa::QueryBatchT(
     std::span<const NodeId> seeds,
     std::span<QueryContext* const> contexts) const {
   TPA_FAILPOINT("tpa.workspace_checkout");
-  CpiOptions cpi = FamilyCpiOptions();
-  cpi.task_runner = options_.task_runner;
+  const CpiOptions cpi = FamilyCpiOptions();
   WorkspacePool::Lease workspace = workspaces_->Acquire();
   TPA_ASSIGN_OR_RETURN(
       la::DenseBlockT<V> block,

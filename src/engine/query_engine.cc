@@ -42,8 +42,12 @@ int ResolveThreadCount(int requested) {
 
 /// The kAuto heuristic: grouped SpMM serving only pays once the shared CSR
 /// traversal is the bottleneck, i.e. the arrays no longer fit the
-/// last-level cache; a cache-resident graph serves faster per-seed thanks
-/// to frontier sparsity (see QueryEngineOptions::batch_block_size).
+/// last-level cache.  The measured case is perfbench's batch-dense-llc
+/// workload (CSR larger than the 300 MB L3, 4 threads): groups of 8 served
+/// equal 24-seed batches at 17.6–18.9 q/s against 13.5–15.0 q/s per-seed.
+/// A cache-resident graph serves faster per-seed thanks to frontier
+/// sparsity (see QueryEngineOptions::batch_block_size).  Either way each
+/// pool job runs serially: no engine path nests parallelism.
 /// graph.SizeBytes() reports the materialized bytes, so both cheaper
 /// layouts cross the LLC threshold later than explicit fp64: the fp32 tier
 /// at 8 bytes/nnz, and value-free (ValueStorage::kRowConstant) storage at
@@ -104,15 +108,6 @@ QueryEngine::QueryEngine(const Graph& graph, std::unique_ptr<RwrMethod> method,
       method_mu_(std::make_unique<std::mutex>()) {
   options_.batch_block_size =
       ResolveBatchBlockSize(options.batch_block_size, graph, *method_);
-  // Batched queries may partition their dense SpMM sweeps across the same
-  // pool that runs the group jobs (ThreadPool::ParallelFor is re-entrant).
-  // Gate on real parallelism: each destination partition rescans the whole
-  // row set (binary-searching its column sub-ranges), so on a single
-  // hardware thread — or a single-worker pool — the fan-out is pure
-  // overhead.
-  if (pool_->num_threads() > 1 && std::thread::hardware_concurrency() > 1) {
-    method_->SetTaskRunner(pool_.get());
-  }
 }
 
 StatusOr<QueryEngine> QueryEngine::Create(const Graph& graph,

@@ -46,30 +46,31 @@ struct QueryEngineOptions {
   /// Seeds per SpMM group when the method supports native batched queries
   /// (RwrMethod::SupportsBatchQuery): cache-miss seeds of a QueryBatch are
   /// served in groups of this size through QueryBatchDense — one shared
-  /// CSR traversal per group instead of one per seed.  Results are bitwise
-  /// identical either way; this is purely a throughput knob.  Grouping
-  /// pays off when the shared traversal is the bottleneck — CSR arrays
-  /// much larger than the last-level cache, or many cores contending for
-  /// memory bandwidth; when the graph is cache-resident, per-seed fan-out
-  /// exploits frontier sparsity (early CPI iterations touch few rows) that
-  /// a shared sweep over the union frontier gives up.
+  /// CSR traversal per group instead of one per seed.  Each group is one
+  /// pool job whose sweeps run serially; the pool is the only place
+  /// serving runs in parallel.  Results are bitwise identical either way;
+  /// this is purely a throughput knob.
+  ///
+  /// Grouping pays where the shared traversal is the bottleneck: a CSR
+  /// larger than the last-level cache.  Measured on perfbench's
+  /// batch-dense-llc workload (4 threads, 300 MB L3), groups of 8 served
+  /// equal 24-seed batches at 17.6–18.9 q/s against 13.5–15.0 q/s for
+  /// per-seed fan-out.  On a cache-resident graph per-seed fan-out wins:
+  /// it keeps the frontier sparsity (early CPI iterations touch few rows)
+  /// that a shared sweep over the union frontier gives up.
   ///
   /// kAuto (the default) picks at Create time from exactly that trade-off:
-  /// when the graph's CSR bytes exceed the detected last-level cache,
-  /// groups sized so one block row fills a 64-byte cache line — 8 seeds at
-  /// fp64, 16 at fp32 (the scatter pays one line per edge either way, so
-  /// the fp32 tier shares each traversal across twice the seeds) — and
-  /// per-seed fan-out otherwise.  The CSR bytes are the *actual
-  /// materialized* bytes, so the cheaper layouts cross the threshold
-  /// later than explicit fp64 (12 bytes/nnz): fp32 at 8, and value-free
-  /// (ValueStorage::kRowConstant) at ≈4 — a value-free graph stays on the
-  /// cache-resident per-seed path up to ~3× the edge count.  Value
-  /// storage does not change the group width, only the threshold: the
-  /// width is pinned by the scattered block row filling one line, not by
-  /// the streamed CSR bytes.  Explicit
-  /// values are the escape hatch: 0 or 1 forces per-seed fan-out, ≥ 2
-  /// forces that group size.  The resolved value is visible through
-  /// options().  `bench_engine_throughput` measures both paths.
+  /// when Graph::SizeBytes exceeds the detected last-level cache, groups
+  /// sized so one block row fills a 64-byte cache line — 8 seeds at fp64,
+  /// 16 at fp32 — and per-seed fan-out otherwise.  The bytes are the
+  /// materialized ones, so the cheaper layouts cross the threshold later
+  /// than explicit fp64 (12 bytes/nnz): fp32 at 8, value-free
+  /// (ValueStorage::kRowConstant) at ≈4.  Value storage changes only the
+  /// threshold, not the width: the width is pinned by the scattered block
+  /// row filling one line.  Explicit values are the escape hatch: 0 or 1
+  /// forces per-seed fan-out, ≥ 2 forces that group size.  The resolved
+  /// value is visible through options().  `bench_engine_throughput`
+  /// measures both paths.
   int batch_block_size = kAuto;
 
   /// Sentinel for batch_block_size: resolve from graph size vs LLC size.

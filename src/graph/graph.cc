@@ -73,8 +73,7 @@ Graph::Graph(NodeId num_nodes, std::vector<uint64_t> out_offsets,
              ValueStorage value_storage)
     : num_nodes_(num_nodes),
       precision_(value_precision),
-      value_storage_(value_storage),
-      partition_cache_(std::make_shared<PartitionCache>()) {
+      value_storage_(value_storage) {
   TPA_CHECK_EQ(out_targets.size(), in_sources.size());
   // MakeCsrStructure validates offsets shape/monotonicity and index range
   // (in particular in_sources < num_nodes, which the weight builders rely
@@ -94,8 +93,7 @@ Graph::Graph(const Graph& other, la::Precision tier)
       value_storage_(other.value_storage_),
       out_structure_(other.out_structure_),  // aliases the shared topology
       in_structure_(other.in_structure_),
-      permutation_(other.permutation_),
-      partition_cache_(other.partition_cache_) {
+      permutation_(other.permutation_) {
   EnsureTier(tier);
 }
 
@@ -128,18 +126,6 @@ void Graph::EnsureTier(la::Precision tier) {
     MaterializeTierT<float>(out_csr_f_, in_csr_f_);
     has_fp32_ = true;
   }
-}
-
-std::span<const uint32_t> Graph::OutColumnPartition(size_t parts) const {
-  std::lock_guard<std::mutex> lock(partition_cache_->mu);
-  for (const auto& [cached_parts, boundaries] : partition_cache_->entries) {
-    if (cached_parts == parts) return boundaries;
-  }
-  partition_cache_->entries.emplace_back(
-      parts, precision_ == la::Precision::kFloat64
-                 ? out_csr_.NnzBalancedColumnRanges(parts)
-                 : out_csr_f_.NnzBalancedColumnRanges(parts));
-  return partition_cache_->entries.back().second;
 }
 
 NodeId Graph::CountDangling() const {

@@ -10,7 +10,6 @@
 #include "la/dense_block.h"
 #include "la/precision.h"
 #include "la/shared_array.h"
-#include "la/task_runner.h"
 #include "util/status.h"
 
 namespace tpa::la {
@@ -122,8 +121,7 @@ size_t CsrStructureBytes(const CsrStructure& structure);
 ///
 /// The scatter is the one propagation direction CPI uses: run over the
 /// out-edge CSR Ã it computes Ã^T·x.  It comes dense (SpMvTranspose /
-/// SpMmTranspose), frontier-sparse (…Frontier) and destination-partitioned
-/// (SpMmTransposeRange / SpMmTransposeParallel).
+/// SpMmTranspose) and frontier-sparse (…Frontier).
 template <typename V>
 class CsrMatrixT {
  public:
@@ -243,32 +241,6 @@ class CsrMatrixT {
                              double density_threshold, DenseBlockT<V>& y,
                              std::vector<uint32_t>& next_frontier,
                              FrontierScratch& scratch) const;
-
-  /// Destination-balanced partition of [0, cols()) for the parallel scatter
-  /// kernels: num_parts+1 ascending boundaries splitting the columns so each
-  /// part receives roughly nnz/num_parts incoming edges (hub destinations
-  /// are what skew a naive equal-width split).  Costs one O(nnz) counting
-  /// sweep — callers cache the result per (matrix, num_parts).
-  std::vector<uint32_t> NnzBalancedColumnRanges(size_t num_parts) const;
-
-  /// Partial block scatter restricted to destinations in [col_begin,
-  /// col_end): zeroes that slice of y, then accumulates every edge whose
-  /// column falls in the range, rows ascending.  Per destination this
-  /// reproduces the full kernel's accumulation order bitwise, so disjoint
-  /// ranges covering [0, cols()) compose to exactly SpMmTranspose.  y must
-  /// be cols() × B.  Relies on column indices being sorted within each row
-  /// (binary search for the row's sub-range).
-  void SpMmTransposeRange(const DenseBlockT<V>& x, DenseBlockT<V>& y,
-                          uint32_t col_begin, uint32_t col_end) const;
-
-  /// Parallel Y = A^T X: dispatches SpMmTransposeRange over the destination
-  /// partition `boundaries` (from NnzBalancedColumnRanges) on `runner`.
-  /// Each destination is owned by exactly one range, so the result is
-  /// deterministic and, per vector, bitwise-identical to the sequential
-  /// SpMmTranspose regardless of scheduling.  y is resized first.
-  void SpMmTransposeParallel(const DenseBlockT<V>& x, DenseBlockT<V>& y,
-                             std::span<const uint32_t> boundaries,
-                             TaskRunner& runner) const;
 
   /// Logical storage bytes: StructureBytes() + ValueBytes().  When several
   /// matrices alias one structure, each reports the full structure — use

@@ -128,10 +128,6 @@ class PowerIterationRwr final : public RwrMethod {
     return Cpi::RunBatchT<float>(*graph_, seeds, options_, nullptr, contexts);
   }
 
-  void SetTaskRunner(la::TaskRunner* runner) override {
-    options_.task_runner = runner;
-  }
-
   size_t PreprocessedBytes() const override { return 0; }
 
   /// Each Query runs an independent CPI over the immutable graph.

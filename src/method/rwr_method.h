@@ -10,7 +10,6 @@
 #include "graph/graph.h"
 #include "la/dense_block.h"
 #include "la/precision.h"
-#include "la/task_runner.h"
 #include "la/topk.h"
 #include "util/memory_budget.h"
 #include "util/query_context.h"
@@ -115,13 +114,6 @@ class RwrMethod {
   virtual StatusOr<la::DenseBlockF> QueryBatchDenseF32(
       std::span<const NodeId> seeds,
       std::span<QueryContext* const> contexts = {});
-
-  /// Installs a fork-join runner that batched queries may use to partition
-  /// their dense propagation sweeps across threads (the QueryEngine passes
-  /// its ThreadPool in; results stay bitwise-identical — see
-  /// CsrMatrix::SpMmTransposeParallel).  The runner must outlive the method
-  /// or be cleared with nullptr first.  Default: ignored.
-  virtual void SetTaskRunner(la::TaskRunner* runner) { (void)runner; }
 
   /// Logical size of the preprocessed data retained for the online phase
   /// (Figure 1(a) / Figure 10(a) metric).  Zero before Preprocess.

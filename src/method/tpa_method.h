@@ -41,7 +41,6 @@ class TpaMethod final : public RwrMethod {
         return FailedPreconditionError(
             "preloaded TPA state was preprocessed against a different graph");
       }
-      tpa_->set_task_runner(options_.task_runner);
       return OkStatus();
     }
     TPA_ASSIGN_OR_RETURN(Tpa tpa, Tpa::Preprocess(graph, options_));
@@ -118,11 +117,6 @@ class TpaMethod final : public RwrMethod {
       return FailedPreconditionError("graph is not materialized at fp32");
     }
     return tpa_->QueryBatchF(seeds, contexts);
-  }
-
-  void SetTaskRunner(la::TaskRunner* runner) override {
-    options_.task_runner = runner;
-    if (tpa_.has_value()) tpa_->set_task_runner(runner);
   }
 
   size_t PreprocessedBytes() const override {

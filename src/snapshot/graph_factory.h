@@ -81,7 +81,6 @@ class GraphFactory {
       }
     }
     graph->permutation_ = std::move(parts.permutation);
-    graph->partition_cache_ = std::make_shared<Graph::PartitionCache>();
     return graph;
   }
 

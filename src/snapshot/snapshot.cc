@@ -61,9 +61,16 @@ Status CorruptError(const std::string& path, const std::string& what) {
 /// presence and sizes are always enforced, so the typed readers below can
 /// index payloads without further bounds checks.
 StatusOr<std::vector<SectionDesc>> ExpectedSections(
-    const MetaSection& meta, const std::string& path) {
+    const MetaSection& meta, uint64_t file_bytes, const std::string& path) {
   const uint64_t n = meta.num_nodes;
   const uint64_t m = meta.num_edges;
+  // Every file carries two m × 4-byte index sections, so a larger m is a
+  // lie — and bounding m by the file size keeps every m × (≤ 8 bytes)
+  // section size below from wrapping uint64 to match a 0-byte section.
+  if (m > file_bytes / sizeof(uint32_t)) {
+    return CorruptError(path, "edge count " + std::to_string(m) +
+                                  " exceeds what the file can hold");
+  }
   std::vector<SectionDesc> expected;
   auto expect = [&expected](SectionId id, uint64_t size_bytes) {
     expected.push_back({static_cast<uint32_t>(id), 0, 0, size_bytes, 0, 0});
@@ -241,7 +248,7 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
   }
 
   TPA_ASSIGN_OR_RETURN(std::vector<SectionDesc> expected,
-                       ExpectedSections(meta, path));
+                       ExpectedSections(meta, file.size(), path));
   if (expected.size() != parsed.table.size()) {
     return CorruptError(path, "section table does not match configuration");
   }

@@ -6,7 +6,6 @@
 
 #include "core/cpi.h"
 #include "core/tpa.h"
-#include "engine/thread_pool.h"
 #include "graph/generators.h"
 #include "la/dense_block.h"
 #include "method/power_iteration.h"
@@ -128,27 +127,6 @@ TEST(CpiRunBatchTest, ThresholdSweepAgreesWithDenseOnlyScalar) {
                             "threshold " + std::to_string(threshold) +
                                 " seed " + std::to_string(seeds[b]));
     }
-  }
-}
-
-TEST(CpiRunBatchTest, ParallelDenseTailMatchesSerialBitwise) {
-  Graph graph = TestGraph();
-  const std::vector<NodeId> seeds = {1, 50, 399, 200};
-
-  CpiOptions serial_options;
-  serial_options.tolerance = 1e-6;  // long enough to reach the dense tail
-  auto serial = Cpi::RunBatch(graph, seeds, serial_options);
-  ASSERT_TRUE(serial.ok());
-
-  ThreadPool pool(3);
-  CpiOptions parallel_options = serial_options;
-  parallel_options.task_runner = &pool;
-  auto parallel = Cpi::RunBatch(graph, seeds, parallel_options);
-  ASSERT_TRUE(parallel.ok());
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    ExpectVectorBitwiseEq(parallel->ExtractVector(b),
-                          serial->ExtractVector(b),
-                          "seed " + std::to_string(seeds[b]));
   }
 }
 

@@ -3,15 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <latch>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/tpa.h"
-#include "engine/thread_pool.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "la/vector_ops.h"
@@ -485,33 +482,6 @@ TEST(QueryEngineTest, ReorderedGraphServesOriginalNodeIds) {
     EXPECT_EQ(got.top[k].node, expected.top[k].node) << "rank " << k;
     EXPECT_NEAR(got.top[k].score, expected.top[k].score, 1e-12);
   }
-}
-
-TEST(ThreadPoolTest, ParallelForRunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(64);
-  pool.ParallelFor(64, [&](size_t i) { counts[i].fetch_add(1); });
-  for (size_t i = 0; i < counts.size(); ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "task " << i;
-  }
-  pool.ParallelFor(0, [&](size_t) { FAIL() << "no tasks expected"; });
-}
-
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // Saturate the pool with jobs that each fork their own ParallelFor —
-  // the caller-participation guarantee must keep everything moving even
-  // though no worker is free to help.
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  std::latch done(4);
-  for (int j = 0; j < 4; ++j) {
-    pool.Submit([&] {
-      pool.ParallelFor(8, [&](size_t) { total.fetch_add(1); });
-      done.count_down();
-    });
-  }
-  done.wait();
-  EXPECT_EQ(total.load(), 32);
 }
 
 TEST(TopKScoresTest, ClampsAndBreaksTies) {

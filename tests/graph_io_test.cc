@@ -1,6 +1,7 @@
 #include "graph/io.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -15,7 +16,7 @@ class GraphIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/graph_io_test_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".txt";
+            std::to_string(getpid()) + ".txt";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

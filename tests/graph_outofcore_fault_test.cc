@@ -7,6 +7,7 @@
 /// compiled in (cmake -DTPA_FAILPOINTS=ON); production builds get a skip.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -33,7 +34,7 @@ class OutOfCoreFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
     csr_path_ = ::testing::TempDir() + "/ooc_fault_" +
-                std::to_string(reinterpret_cast<uintptr_t>(this)) + ".csr";
+                std::to_string(getpid()) + ".csr";
   }
   void TearDown() override {
     DisarmAllFailpoints();

@@ -7,6 +7,7 @@
 #include "graph/out_of_core.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -28,7 +29,7 @@ class OutOfCoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     prefix_ = ::testing::TempDir() + "/ooc_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this));
+              std::to_string(getpid());
   }
   void TearDown() override {
     for (const std::string& suffix :

@@ -4,12 +4,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "la/csr_matrix.h"
 #include "la/dense_block.h"
-#include "la/task_runner.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -224,102 +222,6 @@ TEST_P(FrontierKernelTest, RecycledBufferChainMatchesDense) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FrontierKernelTest,
-                         ::testing::Values(1u, 7u, 42u));
-
-class RangeKernelTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(RangeKernelTest, ColumnRangesAreValidPartitions) {
-  Graph graph = TestGraph(GetParam());
-  const la::CsrMatrix& csr = graph.Transition();
-  for (size_t parts : {size_t{1}, size_t{2}, size_t{5}, size_t{32}}) {
-    const std::vector<uint32_t> boundaries =
-        csr.NnzBalancedColumnRanges(parts);
-    ASSERT_EQ(boundaries.size(), parts + 1);
-    EXPECT_EQ(boundaries.front(), 0u);
-    EXPECT_EQ(boundaries.back(), csr.cols());
-    EXPECT_TRUE(std::is_sorted(boundaries.begin(), boundaries.end()));
-  }
-}
-
-TEST_P(RangeKernelTest, RangesComposeToFullScatterBitwise) {
-  Graph graph = TestGraph(GetParam());
-  const la::CsrMatrix& csr = graph.Transition();
-  const uint32_t n = csr.rows();
-  Rng rng(GetParam());
-
-  // Width 3 runs the width-specialized range loop, 17 the generic one.
-  for (size_t width : {size_t{3}, size_t{17}}) {
-    la::DenseBlock x(n, width);
-    for (uint32_t r = 0; r < n; ++r) {
-      for (size_t b = 0; b < width; ++b) x.At(r, b) = rng.NextDouble();
-    }
-    la::DenseBlock dense;
-    csr.SpMmTranspose(x, dense);
-
-    for (size_t parts : {size_t{1}, size_t{3}, size_t{8}}) {
-      const std::vector<uint32_t> boundaries =
-          csr.NnzBalancedColumnRanges(parts);
-      la::DenseBlock composed(n, width);
-      for (uint32_t r = 0; r < n; ++r) {
-        for (size_t b = 0; b < width; ++b) {
-          composed.At(r, b) = -1.0;  // ranges must overwrite fully
-        }
-      }
-      for (size_t p = 0; p < parts; ++p) {
-        csr.SpMmTransposeRange(x, composed, boundaries[p],
-                               boundaries[p + 1]);
-      }
-      ExpectBlockBitwiseEq(composed, dense,
-                           "width " + std::to_string(width) + " parts " +
-                               std::to_string(parts));
-    }
-  }
-}
-
-TEST_P(RangeKernelTest, ParallelScatterMatchesSequentialBitwise) {
-  Graph graph = TestGraph(GetParam());
-  const la::CsrMatrix& csr = graph.Transition();
-  const uint32_t n = csr.rows();
-  Rng rng(GetParam());
-
-  la::DenseBlock bx(n, 6);
-  for (uint32_t r = 0; r < n; ++r) {
-    for (size_t b = 0; b < 6; ++b) bx.At(r, b) = rng.NextDouble();
-  }
-  la::DenseBlock bdense;
-  csr.SpMmTranspose(bx, bdense);
-
-  const std::vector<uint32_t> boundaries = csr.NnzBalancedColumnRanges(4);
-
-  la::SerialTaskRunner serial;
-  ThreadPool pool(4);
-  for (la::TaskRunner* runner :
-       {static_cast<la::TaskRunner*>(&serial),
-        static_cast<la::TaskRunner*>(&pool)}) {
-    la::DenseBlock by;
-    csr.SpMmTransposeParallel(bx, by, boundaries, *runner);
-    ExpectBlockBitwiseEq(by, bdense, "SpMm parallel");
-  }
-}
-
-TEST_P(RangeKernelTest, GraphParallelMultiplyMatchesSequential) {
-  Graph graph = TestGraph(GetParam());
-  const uint32_t n = graph.num_nodes();
-  Rng rng(GetParam());
-
-  ThreadPool pool(3);
-  la::DenseBlock bx(n, 8);
-  for (uint32_t r = 0; r < n; ++r) {
-    for (size_t b = 0; b < 8; ++b) bx.At(r, b) = rng.NextDouble();
-  }
-  la::DenseBlock bexpected;
-  graph.MultiplyTransposeBlock(bx, bexpected);
-  la::DenseBlock bgot;
-  graph.MultiplyTransposeBlockParallel(bx, bgot, pool);
-  ExpectBlockBitwiseEq(bgot, bexpected, "graph SpMm parallel");
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RangeKernelTest,
                          ::testing::Values(1u, 7u, 42u));
 
 }  // namespace

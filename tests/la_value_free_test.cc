@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/thread_pool.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -74,9 +73,8 @@ la::CsrMatrixT<V> ExplicitTwin(const la::CsrMatrixT<V>& a) {
 }
 
 /// Runs the full kernel family on `vf` and its explicit twin and asserts
-/// bitwise-identical outputs: SpMvTranspose, and SpMmTranspose with its
-/// range and parallel drivers at specialized and generic widths, and the
-/// frontier scatter head.
+/// bitwise-identical outputs: SpMvTranspose, SpMmTranspose at specialized
+/// and generic widths, and the frontier scatter head.
 template <typename V>
 void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
                            const std::string& label) {
@@ -93,11 +91,6 @@ void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
   ex.SpMvTranspose(x_rows, y_ex);
   ExpectBitwiseEq(y_vf, y_ex, label + " SpMvTranspose");
 
-  ThreadPool pool(2);
-  const std::vector<uint32_t> boundaries = vf.NnzBalancedColumnRanges(2);
-  const uint32_t third = vf.cols() / 3;
-  const std::vector<std::pair<uint32_t, uint32_t>> ranges = {
-      {0, third}, {third, 2 * third}, {2 * third, vf.cols()}};
   for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{8},
                        size_t{16}, size_t{17}}) {
     const std::string wlabel = label + " width " + std::to_string(width);
@@ -109,22 +102,6 @@ void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
     vf.SpMmTranspose(bx_rows, by_vf);
     ex.SpMmTranspose(bx_rows, by_ex);
     ExpectBitwiseEq(by_vf, by_ex, wlabel + " SpMmTranspose");
-
-    // Range scatter: thirds of the destination space compose to the full
-    // kernel; each range must agree across modes.
-    la::DenseBlockT<V> ry_vf(vf.cols(), width), ry_ex(vf.cols(), width);
-    for (const auto& [begin, end] : ranges) {
-      vf.SpMmTransposeRange(bx_rows, ry_vf, begin, end);
-      ex.SpMmTransposeRange(bx_rows, ry_ex, begin, end);
-    }
-    ExpectBitwiseEq(ry_vf, ry_ex, wlabel + " SpMmTransposeRange");
-    ExpectBitwiseEq(ry_vf, by_ex, wlabel + " range composition");
-
-    // Parallel scatter driver over an nnz-balanced partition.
-    la::DenseBlockT<V> py_vf, py_ex;
-    vf.SpMmTransposeParallel(bx_rows, py_vf, boundaries, pool);
-    ex.SpMmTransposeParallel(bx_rows, py_ex, boundaries, pool);
-    ExpectBitwiseEq(py_vf, py_ex, wlabel + " SpMmTransposeParallel");
   }
 
   // Frontier scatter: a sparse x supported on a few rows, full pipeline.
@@ -396,11 +373,6 @@ TEST(ValueFreeGraphTest, RematerializeSharesStructureAndPermutation) {
   EXPECT_EQ(sibling.TransitionF().structure().col_indices.data(),
             graph->Transition().structure().col_indices.data());
   EXPECT_EQ(sibling.permutation(), graph->permutation());
-  // Partition caches are shared too: a partition computed through one graph
-  // is visible through the other (same boundary data).
-  const auto boundaries = graph->OutColumnPartition(4);
-  const auto sibling_boundaries = sibling.OutColumnPartition(4);
-  EXPECT_EQ(boundaries.data(), sibling_boundaries.data());
 
   // The fp32 sibling's weights are the fp64 weights rounded once — spot
   // check through the mode-agnostic oracle.

@@ -3,18 +3,21 @@
 /// CsrValueModes), both load modes (mmap views and heap copies), and
 /// reordered graphs; warm-started engines (sync and async) serving bitwise
 /// the fresh-preprocess results; the corruption matrix (truncation, bad
-/// magic/version/endianness, checksum flips, retired pull-flavor files)
+/// magic/version/endianness, checksum flips, retired pull-flavor files,
+/// edge counts whose section sizes overflow)
 /// surfacing as Status errors — never crashes; and mmap-view lifetime under
 /// ASan.
 
 #include "snapshot/snapshot.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -57,7 +60,7 @@ class SnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/snapshot_test_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".tpasnap";
+            std::to_string(getpid()) + ".tpasnap";
   }
   void TearDown() override {
     DisarmAllFailpoints();
@@ -73,6 +76,46 @@ class SnapshotTest : public ::testing::Test {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// Rewrites the file at path_ through `edit`, which may change the meta
+  /// section, the section table and any payload bytes (resealing the
+  /// checksums of payloads it touches), then reseals the meta and
+  /// section-table checksums so only the edit itself can be rejected.
+  void EditSnapshot(
+      const std::function<void(std::vector<uint8_t>& bytes,
+                               std::vector<snapshot::SectionDesc>& table,
+                               snapshot::MetaSection& meta)>& edit) const {
+    std::vector<uint8_t> bytes = ReadFileBytes();
+    snapshot::SnapshotHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    std::vector<snapshot::SectionDesc> table(header.section_count);
+    const size_t table_bytes = table.size() * sizeof(snapshot::SectionDesc);
+    std::memcpy(table.data(), bytes.data() + header.section_table_offset,
+                table_bytes);
+    snapshot::SectionDesc* meta_desc =
+        FindSection(table, snapshot::SectionId::kMeta);
+    ASSERT_NE(meta_desc, nullptr);
+    snapshot::MetaSection meta;
+    std::memcpy(&meta, bytes.data() + meta_desc->offset, sizeof(meta));
+
+    edit(bytes, table, meta);
+
+    std::memcpy(bytes.data() + meta_desc->offset, &meta, sizeof(meta));
+    meta_desc->crc = Crc32(&meta, sizeof(meta));
+    std::memcpy(bytes.data() + header.section_table_offset, table.data(),
+                table_bytes);
+    header.section_table_crc = Crc32(table.data(), table_bytes);
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    WriteFileBytes(bytes);
+  }
+
+  static snapshot::SectionDesc* FindSection(
+      std::vector<snapshot::SectionDesc>& table, snapshot::SectionId id) {
+    for (snapshot::SectionDesc& desc : table) {
+      if (desc.id == static_cast<uint32_t>(id)) return &desc;
+    }
+    return nullptr;
   }
 
   std::string path_;
@@ -257,33 +300,12 @@ TEST_F(SnapshotTest, PullFlavorSnapshotsAreRejected) {
   const Graph graph =
       MakeGraph(la::Precision::kFloat64, ValueStorage::kRowConstant);
   ASSERT_TRUE(MakeTpa(graph).SaveSnapshot(path_).ok());
-  std::vector<uint8_t> bytes = ReadFileBytes();
-
-  snapshot::SnapshotHeader header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  std::vector<snapshot::SectionDesc> table(header.section_count);
-  std::memcpy(table.data(), bytes.data() + header.section_table_offset,
-              table.size() * sizeof(snapshot::SectionDesc));
-  snapshot::SectionDesc* meta_desc = nullptr;
-  for (snapshot::SectionDesc& desc : table) {
-    if (desc.id == static_cast<uint32_t>(snapshot::SectionId::kMeta)) {
-      meta_desc = &desc;
-    }
-  }
-  ASSERT_NE(meta_desc, nullptr);
-  snapshot::MetaSection meta;
-  std::memcpy(&meta, bytes.data() + meta_desc->offset, sizeof(meta));
-  ASSERT_EQ(meta.use_pull, 0u);  // the writer stores the reserved word as 0
-
-  meta.use_pull = 1;
-  std::memcpy(bytes.data() + meta_desc->offset, &meta, sizeof(meta));
-  meta_desc->crc = Crc32(&meta, sizeof(meta));
-  std::memcpy(bytes.data() + header.section_table_offset, table.data(),
-              table.size() * sizeof(snapshot::SectionDesc));
-  header.section_table_crc =
-      Crc32(table.data(), table.size() * sizeof(snapshot::SectionDesc));
-  std::memcpy(bytes.data(), &header, sizeof(header));
-  WriteFileBytes(bytes);
+  EditSnapshot([](std::vector<uint8_t>&, std::vector<snapshot::SectionDesc>&,
+                  snapshot::MetaSection& meta) {
+    // The writer stores the reserved word as 0.
+    ASSERT_EQ(meta.use_pull, 0u);
+    meta.use_pull = 1;
+  });
 
   const std::string needle = "retired pull propagation flavor";
   const Status verify = snapshot::VerifySnapshot(path_);
@@ -292,6 +314,57 @@ TEST_F(SnapshotTest, PullFlavorSnapshotsAreRejected) {
       << verify.message();
   const auto info = snapshot::ReadSnapshotInfo(path_);
   ASSERT_FALSE(info.ok());
+  EXPECT_NE(info.status().message().find(needle), std::string::npos)
+      << info.status().message();
+  const auto loaded = snapshot::LoadSnapshot(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find(needle), std::string::npos)
+      << loaded.status().message();
+}
+
+/// An edge count whose per-edge section sizes wrap uint64 (2^62 × 4 bytes
+/// is 2^64 ≡ 0) must not match the 0-byte sections it implies: every entry
+/// point rejects it from the meta alone, before the CSR checks could walk
+/// 2^62 indices off a 0-byte section.  The offsets are made to end at the
+/// claimed count and every touched checksum is resealed, so the edge count
+/// is the only lie in the file.
+TEST_F(SnapshotTest, OverflowingEdgeCountIsRejectedBeforeThePayload) {
+  const Graph graph =
+      MakeGraph(la::Precision::kFloat64, ValueStorage::kExplicit);
+  ASSERT_TRUE(MakeTpa(graph).SaveSnapshot(path_).ok());
+  constexpr uint64_t kEdges = uint64_t{1} << 62;
+  EditSnapshot([&](std::vector<uint8_t>& bytes,
+                   std::vector<snapshot::SectionDesc>& table,
+                   snapshot::MetaSection& meta) {
+    meta.num_edges = kEdges;
+    for (snapshot::SectionId id :
+         {snapshot::SectionId::kOutIndices, snapshot::SectionId::kInIndices,
+          snapshot::SectionId::kOutValuesF64,
+          snapshot::SectionId::kInValuesF64}) {
+      snapshot::SectionDesc* desc = FindSection(table, id);
+      ASSERT_NE(desc, nullptr);
+      desc->size_bytes = 0;
+      desc->crc = Crc32(nullptr, 0);
+    }
+    for (snapshot::SectionId id :
+         {snapshot::SectionId::kOutOffsets, snapshot::SectionId::kInOffsets}) {
+      snapshot::SectionDesc* desc = FindSection(table, id);
+      ASSERT_NE(desc, nullptr);
+      ASSERT_EQ(desc->size_bytes, (meta.num_nodes + 1) * sizeof(uint64_t));
+      std::memcpy(bytes.data() + desc->offset + desc->size_bytes -
+                      sizeof(uint64_t),
+                  &kEdges, sizeof(kEdges));
+      desc->crc = Crc32(bytes.data() + desc->offset, desc->size_bytes);
+    }
+  });
+
+  const std::string needle = "edge count";
+  const Status verify = snapshot::VerifySnapshot(path_);
+  ASSERT_FALSE(verify.ok());
+  EXPECT_NE(verify.message().find(needle), std::string::npos)
+      << verify.message();
+  const auto info = snapshot::ReadSnapshotInfo(path_);
+  ASSERT_FALSE(info.ok()) << "edges=" << info->num_edges;
   EXPECT_NE(info.status().message().find(needle), std::string::npos)
       << info.status().message();
   const auto loaded = snapshot::LoadSnapshot(path_);

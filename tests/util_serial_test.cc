@@ -4,6 +4,7 @@
 #include "util/serial.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -20,7 +21,7 @@ class SerialTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/serial_test_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".bin";
+            std::to_string(getpid()) + ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
@@ -166,7 +167,7 @@ class ExternalSortTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/extsort_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".spill";
+            std::to_string(getpid()) + ".spill";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
