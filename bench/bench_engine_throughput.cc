@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -58,26 +57,47 @@ struct Args {
   int topk = 10;
   std::string json_path;
   std::string precision = "fp64";
+  bool help = false;
 };
 
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--scale") == 0) {
-      args.scale = static_cast<uint32_t>(std::atoi(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--edges") == 0) {
-      args.edges = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--queries") == 0) {
-      args.queries = std::atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--topk") == 0) {
-      args.topk = std::atoi(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      args.json_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--precision") == 0) {
-      args.precision = argv[i + 1];
+constexpr char kUsage[] =
+    "usage: bench_engine_throughput [--scale N] [--edges M] [--queries Q] "
+    "[--topk K] [--precision fp64|fp32] [--json PATH] [--help]\n";
+
+/// Fills `args` from argv.  Returns false, after naming the offending flag
+/// on stderr, on an unknown flag or a flag missing its value.
+bool ParseArgs(int argc, char** argv, Args& args) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string flag = argv[i];
+    if (flag == "--help") {
+      args.help = true;
+      continue;
+    }
+    if (flag != "--scale" && flag != "--edges" && flag != "--queries" &&
+        flag != "--topk" && flag != "--json" && flag != "--precision") {
+      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+      return false;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
+      return false;
+    }
+    const char* value = argv[++i];
+    if (flag == "--scale") {
+      args.scale = static_cast<uint32_t>(std::atoi(value));
+    } else if (flag == "--edges") {
+      args.edges = std::strtoull(value, nullptr, 10);
+    } else if (flag == "--queries") {
+      args.queries = std::atoi(value);
+    } else if (flag == "--topk") {
+      args.topk = std::atoi(value);
+    } else if (flag == "--json") {
+      args.json_path = value;
+    } else {
+      args.precision = value;
     }
   }
-  return args;
+  return true;
 }
 
 /// One measured configuration, mirrored into the text table and the JSON
@@ -153,7 +173,15 @@ std::vector<NodeId> QuerySeeds(const Graph& graph, int count) {
 }
 
 int Run(int argc, char** argv) {
-  const Args args = ParseArgs(argc, argv);
+  Args args;
+  if (!ParseArgs(argc, argv, args)) {
+    std::fputs(kUsage, stderr);
+    return 1;
+  }
+  if (args.help) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   if (args.queries < 1 || args.edges < 1) {
     std::fprintf(stderr, "--queries and --edges must be at least 1\n");
     return 1;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -23,7 +24,10 @@ Status ValidateFrontierThreshold(double threshold) {
 
 namespace {
 
-Status ValidateOptions(const CpiOptions& options) {
+/// The validation every entry point shares: the options, and that the
+/// graph is materialized at tier V.
+template <typename V>
+Status ValidateOptions(const Graph& graph, const CpiOptions& options) {
   TPA_RETURN_IF_ERROR(ValidateCpiParameters(options.restart_probability,
                                             options.tolerance));
   TPA_RETURN_IF_ERROR(
@@ -34,6 +38,21 @@ Status ValidateOptions(const CpiOptions& options) {
   if (options.terminal_iteration < options.start_iteration) {
     return InvalidArgumentError(
         "terminal_iteration must be at least start_iteration");
+  }
+  return ValidateTier(graph, la::kPrecisionOf<V>);
+}
+
+/// ValidateOptions plus a non-empty, in-range seed set — the runs that
+/// start from seed nodes instead of a seed vector.
+template <typename V>
+Status ValidateSeeds(const Graph& graph, std::span<const NodeId> seeds,
+                     const CpiOptions& options) {
+  TPA_RETURN_IF_ERROR(ValidateOptions<V>(graph, options));
+  if (seeds.empty()) return InvalidArgumentError("seed set must be non-empty");
+  for (NodeId s : seeds) {
+    if (s >= graph.num_nodes()) {
+      return OutOfRangeError("seed node out of range");
+    }
   }
   return OkStatus();
 }
@@ -568,6 +587,15 @@ Status ValidateCpiParameters(double restart_probability, double tolerance) {
   return OkStatus();
 }
 
+Status ValidateTier(const Graph& graph, la::Precision tier) {
+  if (graph.value_precision() == tier) return OkStatus();
+  std::string message = "graph is materialized at ";
+  message += la::PrecisionName(graph.value_precision());
+  message += ", not ";
+  message += la::PrecisionName(tier);
+  return FailedPreconditionError(message);
+}
+
 int CpiIterationCount(double restart_probability, double tolerance) {
   const double c = restart_probability;
   return static_cast<int>(
@@ -598,13 +626,7 @@ StatusOr<Cpi::ResultT<V>> Cpi::RunT(const Graph& graph,
                                     const CpiOptions& options,
                                     Workspace* workspace,
                                     QueryContext* context) {
-  TPA_RETURN_IF_ERROR(ValidateOptions(options));
-  if (seeds.empty()) return InvalidArgumentError("seed set must be non-empty");
-  for (NodeId s : seeds) {
-    if (s >= graph.num_nodes()) {
-      return OutOfRangeError("seed node out of range");
-    }
-  }
+  TPA_RETURN_IF_ERROR(ValidateSeeds<V>(graph, seeds, options));
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;
   BuildSeedStart<V>(graph, seeds, options, ws);
@@ -617,7 +639,7 @@ StatusOr<Cpi::ResultT<V>> Cpi::RunWithSeedVectorT(const Graph& graph,
                                                   const std::vector<V>& q,
                                                   const CpiOptions& options,
                                                   Workspace* workspace) {
-  TPA_RETURN_IF_ERROR(ValidateOptions(options));
+  TPA_RETURN_IF_ERROR(ValidateOptions<V>(graph, options));
   if (q.size() != graph.num_nodes()) {
     return InvalidArgumentError("seed vector size must equal node count");
   }
@@ -634,18 +656,10 @@ StatusOr<la::DenseBlockT<V>> Cpi::RunBatchT(
     const Graph& graph, std::span<const NodeId> seeds,
     const CpiOptions& options, Workspace* workspace,
     std::span<QueryContext* const> contexts) {
-  TPA_RETURN_IF_ERROR(ValidateOptions(options));
-  if (seeds.empty()) {
-    return InvalidArgumentError("seed batch must be non-empty");
-  }
+  TPA_RETURN_IF_ERROR(ValidateSeeds<V>(graph, seeds, options));
   if (!contexts.empty() && contexts.size() != seeds.size()) {
     return InvalidArgumentError(
         "contexts must be empty or align with the seed batch");
-  }
-  for (NodeId s : seeds) {
-    if (s >= graph.num_nodes()) {
-      return OutOfRangeError("seed node out of range");
-    }
   }
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;
@@ -763,10 +777,11 @@ StatusOr<std::vector<std::vector<V>>> Cpi::RunWindowedT(
     const Graph& graph, const std::vector<V>& q,
     const std::vector<int>& breakpoints, const CpiOptions& options,
     Workspace* workspace) {
-  TPA_RETURN_IF_ERROR(ValidateCpiParameters(options.restart_probability,
-                                            options.tolerance));
-  TPA_RETURN_IF_ERROR(
-      ValidateFrontierThreshold(options.frontier_density_threshold));
+  // The windows replace the options' own [start, terminal] range.
+  CpiOptions run = options;
+  run.start_iteration = 0;
+  run.terminal_iteration = CpiOptions::kUnbounded;
+  TPA_RETURN_IF_ERROR(ValidateOptions<V>(graph, run));
   if (q.size() != graph.num_nodes()) {
     return InvalidArgumentError("seed vector size must equal node count");
   }
@@ -784,9 +799,6 @@ StatusOr<std::vector<std::vector<V>>> Cpi::RunWindowedT(
   x.assign(q.begin(), q.end());
   la::Scale(options.restart_probability, x);
 
-  CpiOptions run = options;
-  run.start_iteration = 0;
-  run.terminal_iteration = CpiOptions::kUnbounded;
   WindowSplitter<V> splitter(breakpoints, graph.num_nodes());
   Cpi::ResultT<V> result = RunScalarLoopObserved<V>(
       graph, run, ws, /*frontier_ready=*/false, splitter);
@@ -815,13 +827,7 @@ StatusOr<TopKQueryResult> Cpi::RunTopKT(const Graph& graph,
                                         const TopKBaseT<V>& base,
                                         Workspace* workspace,
                                         QueryContext* context) {
-  TPA_RETURN_IF_ERROR(ValidateOptions(options));
-  if (seeds.empty()) return InvalidArgumentError("seed set must be non-empty");
-  for (NodeId s : seeds) {
-    if (s >= graph.num_nodes()) {
-      return OutOfRangeError("seed node out of range");
-    }
-  }
+  TPA_RETURN_IF_ERROR(ValidateSeeds<V>(graph, seeds, options));
   if (topk.k < 0) return InvalidArgumentError("k must be non-negative");
   if (!(base.post_scale >= 0.0)) {
     return InvalidArgumentError("post_scale must be non-negative");

@@ -48,11 +48,12 @@ struct CpiOptions {
 ///
 /// Every entry point is templated over the storage precision tier V of the
 /// interim vectors and scores (the T-suffixed variants); it must match the
-/// graph's value tier (Graph::value_precision, CHECK-enforced by the CSR
-/// accessors).  The V = double instantiations — reachable through the
-/// historical non-suffixed names — are bitwise-identical to the
-/// pre-precision-tier implementation; V = float runs the whole loop on
-/// fp32 storage with fp64 inner-loop arithmetic (see CsrMatrixT).
+/// graph's value tier (Graph::value_precision) or the run fails with
+/// FAILED_PRECONDITION (ValidateTier).  The V = double instantiations —
+/// reachable through the historical non-suffixed names — are
+/// bitwise-identical to the pre-precision-tier implementation; V = float
+/// runs the whole loop on fp32 storage with fp64 inner-loop arithmetic
+/// (see CsrMatrixT).
 class Cpi {
  public:
   template <typename V>
@@ -266,6 +267,11 @@ Status ValidateCpiParameters(double restart_probability, double tolerance);
 
 /// Validates a frontier_density_threshold ([0, 1]); shared by CPI and TPA.
 Status ValidateFrontierThreshold(double threshold);
+
+/// FAILED_PRECONDITION unless `graph` is materialized at `tier`: the one
+/// refusal of every tier-typed entry point (Cpi, Tpa, RwrMethod) asked to
+/// serve the tier the graph is not at.
+Status ValidateTier(const Graph& graph, la::Precision tier);
 
 }  // namespace tpa
 

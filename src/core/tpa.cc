@@ -53,12 +53,10 @@ const std::vector<V>& Tpa::StrangerT() const {
   }
 }
 
-StatusOr<Tpa> Tpa::Preprocess(const Graph& graph, const TpaOptions& options) {
-  TPA_RETURN_IF_ERROR(ValidateTpaOptions(options));
-
+template <typename V>
+StatusOr<Tpa> Tpa::PreprocessT(const Graph& graph, const TpaOptions& options) {
   // Algorithm 2: r̃_stranger = CPI(Ã, {1..n}, c, ε, T, ∞) — the tail of the
-  // PageRank series from iteration T on, run and stored at the graph's
-  // precision tier.
+  // PageRank series from iteration T on, run and stored at tier V.
   CpiOptions cpi;
   cpi.restart_probability = options.restart_probability;
   cpi.tolerance = options.tolerance;
@@ -66,22 +64,28 @@ StatusOr<Tpa> Tpa::Preprocess(const Graph& graph, const TpaOptions& options) {
   cpi.terminal_iteration = CpiOptions::kUnbounded;
   cpi.frontier_density_threshold = options.frontier_density_threshold;
 
-  if (graph.value_precision() == la::Precision::kFloat64) {
-    std::vector<double> uniform(graph.num_nodes(),
-                                1.0 / static_cast<double>(graph.num_nodes()));
-    TPA_ASSIGN_OR_RETURN(Cpi::Result result,
-                         Cpi::RunWithSeedVector(graph, uniform, cpi));
-    std::vector<NodeId> order = ArgsortDescending(result.scores);
-    return Tpa(&graph, options, std::move(result.scores), {},
-               std::move(order));
-  }
-  std::vector<float> uniform(
+  const std::vector<V> uniform(
       graph.num_nodes(),
-      static_cast<float>(1.0 / static_cast<double>(graph.num_nodes())));
-  TPA_ASSIGN_OR_RETURN(Cpi::ResultF result,
-                       Cpi::RunWithSeedVectorT<float>(graph, uniform, cpi));
+      static_cast<V>(1.0 / static_cast<double>(graph.num_nodes())));
+  TPA_ASSIGN_OR_RETURN(Cpi::ResultT<V> result,
+                       Cpi::RunWithSeedVectorT<V>(graph, uniform, cpi));
   std::vector<NodeId> order = ArgsortDescending(result.scores);
-  return Tpa(&graph, options, {}, std::move(result.scores), std::move(order));
+  std::vector<double> stranger;
+  std::vector<float> stranger_f;
+  if constexpr (std::is_same_v<V, double>) {
+    stranger = std::move(result.scores);
+  } else {
+    stranger_f = std::move(result.scores);
+  }
+  return Tpa(&graph, options, std::move(stranger), std::move(stranger_f),
+             std::move(order));
+}
+
+StatusOr<Tpa> Tpa::Preprocess(const Graph& graph, const TpaOptions& options) {
+  TPA_RETURN_IF_ERROR(ValidateTpaOptions(options));
+  return graph.value_precision() == la::Precision::kFloat64
+             ? PreprocessT<double>(graph, options)
+             : PreprocessT<float>(graph, options);
 }
 
 StatusOr<Tpa> Tpa::FromPreprocessedState(const Graph& graph,
@@ -92,15 +96,11 @@ StatusOr<Tpa> Tpa::FromPreprocessedState(const Graph& graph,
   TPA_RETURN_IF_ERROR(ValidateTpaOptions(options));
   const size_t n = graph.num_nodes();
   const bool fp64 = graph.value_precision() == la::Precision::kFloat64;
-  if (fp64 && (stranger.size() != n || !stranger_f.empty())) {
+  if (stranger.size() != (fp64 ? n : 0) ||
+      stranger_f.size() != (fp64 ? 0 : n)) {
     return InvalidArgumentError(
-        "fp64 preprocessed state requires an n-length fp64 stranger tail "
-        "and no fp32 tail");
-  }
-  if (!fp64 && (stranger_f.size() != n || !stranger.empty())) {
-    return InvalidArgumentError(
-        "fp32 preprocessed state requires an n-length fp32 stranger tail "
-        "and no fp64 tail");
+        "preprocessed state requires an n-length stranger tail at the "
+        "graph's tier and none at the other");
   }
   if (stranger_order.size() != n) {
     return InvalidArgumentError("stranger order must rank all n nodes");
@@ -135,23 +135,16 @@ CpiOptions Tpa::FamilyCpiOptions() const {
   return cpi;
 }
 
-Tpa::QueryParts Tpa::QueryDecomposed(NodeId seed) const {
-  TPA_CHECK_LT(seed, graph_->num_nodes());
-  const CpiOptions cpi = FamilyCpiOptions();
+template <typename V>
+Tpa::QueryParts Tpa::QueryDecomposedT(NodeId seed) const {
+  WorkspacePool::Lease workspace = workspaces_->Acquire();
+  StatusOr<Cpi::ResultT<V>> family =
+      Cpi::RunT<V>(*graph_, {seed}, FamilyCpiOptions(), workspace.get());
+  TPA_CHECK(family.ok());  // options were validated at Preprocess time
 
   QueryParts parts;
-  WorkspacePool::Lease workspace = workspaces_->Acquire();
-  if (precision_ == la::Precision::kFloat64) {
-    StatusOr<Cpi::Result> family =
-        Cpi::Run(*graph_, {seed}, cpi, workspace.get());
-    TPA_CHECK(family.ok());  // options were validated at Preprocess time
-    parts.family = std::move(family->scores);
-  } else {
-    StatusOr<Cpi::ResultF> family =
-        Cpi::RunT<float>(*graph_, {seed}, cpi, workspace.get());
-    TPA_CHECK(family.ok());
-    parts.family = la::ConvertVector<double>(family->scores);
-  }
+  // Widening the fp32 family is exact per element.
+  parts.family.assign(family->scores.begin(), family->scores.end());
 
   // Line 3: r̃_neighbor = (‖r_neighbor‖₁/‖r_family‖₁) · r_family.
   parts.neighbor_est = parts.family;
@@ -160,30 +153,39 @@ Tpa::QueryParts Tpa::QueryDecomposed(NodeId seed) const {
   // Line 4: r_TPA = r_family + r̃_neighbor + r̃_stranger.
   parts.total = parts.family;
   la::Axpy(1.0, parts.neighbor_est, parts.total);
-  if (precision_ == la::Precision::kFloat64) {
-    la::Axpy(1.0, stranger_, parts.total);
-  } else {
-    // Widen the fp32 stranger tail on the fly (exact per element).
-    for (size_t i = 0; i < parts.total.size(); ++i) {
-      parts.total[i] += static_cast<double>(stranger_f_[i]);
-    }
+  const std::vector<V>& stranger = StrangerT<V>();
+  for (size_t i = 0; i < parts.total.size(); ++i) {
+    parts.total[i] += static_cast<double>(stranger[i]);
   }
   return parts;
 }
 
-std::vector<double> Tpa::Query(NodeId seed) const {
+Tpa::QueryParts Tpa::QueryDecomposed(NodeId seed) const {
+  TPA_CHECK_LT(seed, graph_->num_nodes());
+  return precision_ == la::Precision::kFloat64 ? QueryDecomposedT<double>(seed)
+                                               : QueryDecomposedT<float>(seed);
+}
+
+template <typename V>
+std::vector<V> Tpa::CheckedQuery(NodeId seed) const {
   TPA_CHECK_LT(seed, graph_->num_nodes());
   // The fused single-seed merge is exactly the personalized query: it skips
-  // the materialized neighbor vector of QueryDecomposed — Query is the
-  // serving hot path.
-  if (precision_ == la::Precision::kFloat64) {
-    StatusOr<std::vector<double>> total = QueryPersonalizedT<double>({seed});
-    TPA_CHECK(total.ok());  // seed was range-checked above
-    return *std::move(total);
+  // the materialized neighbor vector of QueryDecomposed.
+  StatusOr<std::vector<V>> total = QueryPersonalizedT<V>({seed});
+  TPA_CHECK(total.ok());  // seed range-checked above; V is the graph's tier
+  return *std::move(total);
+}
+
+std::vector<double> Tpa::Query(NodeId seed) const {
+  if (precision_ == la::Precision::kFloat32) {
+    return la::ConvertVector<double>(CheckedQuery<float>(seed));
   }
-  StatusOr<std::vector<float>> total = QueryPersonalizedT<float>({seed});
-  TPA_CHECK(total.ok());
-  return la::ConvertVector<double>(*total);
+  return CheckedQuery<double>(seed);
+}
+
+std::vector<float> Tpa::QueryF(NodeId seed) const {
+  TPA_CHECK(precision_ == la::Precision::kFloat32);
+  return CheckedQuery<float>(seed);
 }
 
 TopKQueryResult Tpa::QueryTopK(NodeId seed, int k,
@@ -196,48 +198,39 @@ TopKQueryResult Tpa::QueryTopK(NodeId seed, int k,
   return *std::move(result);
 }
 
-StatusOr<TopKQueryResult> Tpa::QueryTopK(NodeId seed, int k,
-                                         const TopKQueryOptions& topk_options,
-                                         QueryContext* context) const {
-  if (seed >= graph_->num_nodes()) {
-    return OutOfRangeError("seed node out of range");
-  }
-  if (k < 0) return InvalidArgumentError("k must be non-negative");
-  TPA_FAILPOINT("tpa.workspace_checkout");
+template <typename V>
+StatusOr<TopKQueryResult> Tpa::QueryTopKT(NodeId seed, int k,
+                                          const TopKQueryOptions& topk_options,
+                                          QueryContext* context) const {
   CpiOptions cpi = FamilyCpiOptions();
   cpi.frontier_density_threshold = options_.topk_frontier_density_threshold;
   Cpi::TopKRunOptions run;
   run.k = k;
   run.allow_early_termination = topk_options.allow_early_termination;
-  WorkspacePool::Lease workspace = workspaces_->Acquire();
-  if (precision_ == la::Precision::kFloat64) {
-    Cpi::TopKBaseT<double> base;
-    base.base = &stranger_;
-    base.post_scale = 1.0 + NeighborScale();
-    base.order = stranger_order_;
-    return Cpi::RunTopKT<double>(*graph_, {seed}, cpi, run, base,
-                                 workspace.get(), context);
-  }
-  Cpi::TopKBaseT<float> base;
-  base.base = &stranger_f_;
+  Cpi::TopKBaseT<V> base;
+  base.base = &StrangerT<V>();
   base.post_scale = 1.0 + NeighborScale();
   base.order = stranger_order_;
-  return Cpi::RunTopKT<float>(*graph_, {seed}, cpi, run, base,
-                              workspace.get(), context);
+  TPA_FAILPOINT("tpa.workspace_checkout");
+  WorkspacePool::Lease workspace = workspaces_->Acquire();
+  return Cpi::RunTopKT<V>(*graph_, {seed}, cpi, run, base, workspace.get(),
+                          context);
 }
 
-std::vector<float> Tpa::QueryF(NodeId seed) const {
-  TPA_CHECK(precision_ == la::Precision::kFloat32);
-  TPA_CHECK_LT(seed, graph_->num_nodes());
-  StatusOr<std::vector<float>> total = QueryPersonalizedT<float>({seed});
-  TPA_CHECK(total.ok());
-  return *std::move(total);
+StatusOr<TopKQueryResult> Tpa::QueryTopK(NodeId seed, int k,
+                                         const TopKQueryOptions& topk_options,
+                                         QueryContext* context) const {
+  // Cpi::RunTopKT validates the seed and k.
+  return precision_ == la::Precision::kFloat64
+             ? QueryTopKT<double>(seed, k, topk_options, context)
+             : QueryTopKT<float>(seed, k, topk_options, context);
 }
 
 template <typename V>
 StatusOr<la::DenseBlockT<V>> Tpa::QueryBatchT(
     std::span<const NodeId> seeds,
     std::span<QueryContext* const> contexts) const {
+  TPA_RETURN_IF_ERROR(ValidateTier(*graph_, la::kPrecisionOf<V>));
   TPA_FAILPOINT("tpa.workspace_checkout");
   const CpiOptions cpi = FamilyCpiOptions();
   WorkspacePool::Lease workspace = workspaces_->Acquire();
@@ -245,7 +238,7 @@ StatusOr<la::DenseBlockT<V>> Tpa::QueryBatchT(
       la::DenseBlockT<V> block,
       Cpi::RunBatchT<V>(*graph_, seeds, cpi, workspace.get(), contexts));
 
-  // The same fused merge as QueryPersonalized, blocked:
+  // The same fused merge as QueryPersonalizedT, blocked:
   // total = (1 + scale)·family + stranger per vector.
   la::BlockScale(1.0 + NeighborScale(), block);
   la::BlockAddVector(1.0, StrangerT<V>(), block);
@@ -260,29 +253,10 @@ StatusOr<la::DenseBlockT<V>> Tpa::QueryBatchT(
   return block;
 }
 
-StatusOr<la::DenseBlock> Tpa::QueryBatch(
-    std::span<const NodeId> seeds,
-    std::span<QueryContext* const> contexts) const {
-  if (precision_ == la::Precision::kFloat64) {
-    return QueryBatchT<double>(seeds, contexts);
-  }
-  TPA_ASSIGN_OR_RETURN(la::DenseBlockF block,
-                       QueryBatchT<float>(seeds, contexts));
-  la::DenseBlock wide;
-  la::ConvertBlock(block, wide);
-  return wide;
-}
-
-StatusOr<la::DenseBlockF> Tpa::QueryBatchF(
-    std::span<const NodeId> seeds,
-    std::span<QueryContext* const> contexts) const {
-  TPA_CHECK(precision_ == la::Precision::kFloat32);
-  return QueryBatchT<float>(seeds, contexts);
-}
-
 template <typename V>
 StatusOr<std::vector<V>> Tpa::QueryPersonalizedT(
     const std::vector<NodeId>& seeds, QueryContext* context) const {
+  TPA_RETURN_IF_ERROR(ValidateTier(*graph_, la::kPrecisionOf<V>));
   TPA_FAILPOINT("tpa.workspace_checkout");
   const CpiOptions cpi = FamilyCpiOptions();
   WorkspacePool::Lease workspace = workspaces_->Acquire();
@@ -301,24 +275,14 @@ StatusOr<std::vector<V>> Tpa::QueryPersonalizedT(
   return total;
 }
 
-StatusOr<std::vector<double>> Tpa::QueryPersonalized(
-    const std::vector<NodeId>& seeds, QueryContext* context) const {
-  if (precision_ == la::Precision::kFloat64) {
-    return QueryPersonalizedT<double>(seeds, context);
-  }
-  TPA_ASSIGN_OR_RETURN(std::vector<float> total,
-                       QueryPersonalizedT<float>(seeds, context));
-  return la::ConvertVector<double>(total);
-}
-
-StatusOr<std::vector<float>> Tpa::QueryPersonalizedF(
-    const std::vector<NodeId>& seeds, QueryContext* context) const {
-  if (precision_ != la::Precision::kFloat32) {
-    return FailedPreconditionError(
-        "QueryPersonalizedF requires an fp32 graph");
-  }
-  return QueryPersonalizedT<float>(seeds, context);
-}
+template StatusOr<la::DenseBlockT<double>> Tpa::QueryBatchT<double>(
+    std::span<const NodeId>, std::span<QueryContext* const>) const;
+template StatusOr<la::DenseBlockT<float>> Tpa::QueryBatchT<float>(
+    std::span<const NodeId>, std::span<QueryContext* const>) const;
+template StatusOr<std::vector<double>> Tpa::QueryPersonalizedT<double>(
+    const std::vector<NodeId>&, QueryContext*) const;
+template StatusOr<std::vector<float>> Tpa::QueryPersonalizedT<float>(
+    const std::vector<NodeId>&, QueryContext*) const;
 
 double StrangerErrorBound(double restart_probability, int stranger_start) {
   return 2.0 * std::pow(1.0 - restart_probability, stranger_start);

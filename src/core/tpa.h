@@ -60,9 +60,12 @@ struct TpaOptions {
 /// The precision tier follows the graph (Graph::value_precision): on an
 /// fp32 graph the stranger tail is precomputed, stored, and every query's
 /// propagation run entirely on fp32 storage — half the bytes end to end.
-/// QueryF / QueryBatchF expose the native fp32 results; the historical
-/// fp64-typed surface (Query, QueryBatch, …) stays available at either tier
-/// and widens the fp32 result once at the boundary on an fp32 graph.
+/// The Status-returning serving entries are templated over the tier V
+/// (QueryPersonalizedT / QueryBatchT, with the fp64 names as aliases) and
+/// serve exactly one tier each: asking for the tier the graph is not
+/// materialized at fails with FAILED_PRECONDITION, nothing is widened.
+/// Only the CHECK-failing convenience Query stays fp64-typed at either
+/// tier and widens an fp32 result once at the boundary.
 class Tpa {
  public:
   /// Algorithm 2: computes the PageRank tail r̃_stranger = Σ_{i≥T} x(i) at
@@ -93,7 +96,8 @@ class Tpa {
   static StatusOr<snapshot::LoadedSnapshot> LoadSnapshot(
       const std::string& path, const snapshot::LoadOptions& options);
 
-  /// Algorithm 3: approximate RWR vector for `seed`.
+  /// Algorithm 3: approximate RWR vector for `seed`, fp64-typed at either
+  /// tier (an fp32 graph's native result is widened once).
   /// CHECK-fails on an out-of-range seed (programming error).
   std::vector<double> Query(NodeId seed) const;
 
@@ -121,45 +125,48 @@ class Tpa {
                                       const TopKQueryOptions& topk_options,
                                       QueryContext* context) const;
 
-  /// Batched Algorithm 3: one approximate RWR vector per seed, computed for
-  /// the whole batch at once.  The S family iterations run as one SpMM
-  /// chain (a single traversal of the Ã^T CSR arrays per iteration, shared
-  /// by all B seeds) and the Lemma-2 scale + stranger add are blocked
-  /// vector ops — so vector b of the result is bitwise-identical to
-  /// Query(seeds[b]).  Fails on an empty batch or an out-of-range seed.
+  /// Batched Algorithm 3 at tier V: one approximate RWR vector per seed,
+  /// computed for the whole batch at once.  The S family iterations run as
+  /// one SpMM chain (a single traversal of the Ã^T CSR arrays per
+  /// iteration, shared by all B seeds) and the Lemma-2 scale + stranger add
+  /// are blocked vector ops — so vector b of the result is
+  /// bitwise-identical to QueryPersonalizedT<V>({seeds[b]}).  Fails on an
+  /// empty batch, an out-of-range seed, or a V that is not the graph's
+  /// tier (FAILED_PRECONDITION).
   ///
   /// `contexts`, when non-empty, aligns index-for-index with `seeds` (null
   /// entries allowed) and gives each seed its own cooperative abort: an
   /// aborting seed freezes out of the shared SpMM (Cpi::RunBatchT) and its
   /// context carries the merged partial's certified error bound — already
   /// through the Lemma-2 post-scale, so it bounds the returned vector.
+  template <typename V>
+  StatusOr<la::DenseBlockT<V>> QueryBatchT(
+      std::span<const NodeId> seeds,
+      std::span<QueryContext* const> contexts = {}) const;
   StatusOr<la::DenseBlock> QueryBatch(
       std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {}) const;
+      std::span<QueryContext* const> contexts = {}) const {
+    return QueryBatchT<double>(seeds, contexts);
+  }
 
-  /// Native fp32 batch (CHECK-fails unless the graph is fp32); vector b is
-  /// bitwise-identical to QueryF(seeds[b]).
-  StatusOr<la::DenseBlockF> QueryBatchF(
-      std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {}) const;
-
-  /// Personalized-PageRank generalization: approximate RWR for a *set* of
-  /// seeds restarted uniformly (Section II-C notes CPI supports seed sets;
-  /// TPA's two approximations apply unchanged because both are linear in
-  /// the seed vector).  Fails on an empty or out-of-range seed set.
+  /// Personalized-PageRank generalization at tier V: approximate RWR for a
+  /// *set* of seeds restarted uniformly (Section II-C notes CPI supports
+  /// seed sets; TPA's two approximations apply unchanged because both are
+  /// linear in the seed vector).  A single seed gives Algorithm 3 itself —
+  /// the serving engines route here.  Fails on an empty or out-of-range
+  /// seed set, or a V that is not the graph's tier (FAILED_PRECONDITION).
   ///
   /// A non-null `context` makes the query cooperatively abortable at
   /// iteration boundaries; on abort the partial merged vector is still
   /// returned (context->error_bound certifies it, post-scale included) —
   /// the caller decides between degrading and failing.
+  template <typename V>
+  StatusOr<std::vector<V>> QueryPersonalizedT(
+      const std::vector<NodeId>& seeds, QueryContext* context = nullptr) const;
   StatusOr<std::vector<double>> QueryPersonalized(
-      const std::vector<NodeId>& seeds, QueryContext* context = nullptr) const;
-
-  /// Native fp32 QueryPersonalized (fails unless the graph is fp32): the
-  /// Status-returning twin of QueryF the serving engines route through,
-  /// with the same abort contract as QueryPersonalized.
-  StatusOr<std::vector<float>> QueryPersonalizedF(
-      const std::vector<NodeId>& seeds, QueryContext* context = nullptr) const;
+      const std::vector<NodeId>& seeds, QueryContext* context = nullptr) const {
+    return QueryPersonalizedT<double>(seeds, context);
+  }
 
   /// The decomposition Algorithm 3 produces, exposed for the accuracy
   /// experiments (Table III, Figures 8–9).  Always fp64-typed; on an fp32
@@ -227,15 +234,21 @@ class Tpa {
   template <typename V>
   const std::vector<V>& StrangerT() const;
 
-  /// The fused Algorithm 3 merge at tier V; the typed public entry points
-  /// are thin shims over these.
+  /// The tier-V bodies behind Preprocess, QueryTopK and QueryDecomposed;
+  /// each public entry switches on the tier once.
   template <typename V>
-  StatusOr<std::vector<V>> QueryPersonalizedT(
-      const std::vector<NodeId>& seeds, QueryContext* context = nullptr) const;
+  static StatusOr<Tpa> PreprocessT(const Graph& graph,
+                                   const TpaOptions& options);
   template <typename V>
-  StatusOr<la::DenseBlockT<V>> QueryBatchT(
-      std::span<const NodeId> seeds,
-      std::span<QueryContext* const> contexts = {}) const;
+  StatusOr<TopKQueryResult> QueryTopKT(NodeId seed, int k,
+                                       const TopKQueryOptions& topk_options,
+                                       QueryContext* context) const;
+  template <typename V>
+  QueryParts QueryDecomposedT(NodeId seed) const;
+
+  /// QueryPersonalizedT<V>({seed}) for the CHECK-failing entries.
+  template <typename V>
+  std::vector<V> CheckedQuery(NodeId seed) const;
 
   CpiOptions FamilyCpiOptions() const;
 

@@ -16,24 +16,6 @@ namespace tpa {
 
 namespace {
 
-/// Every method invocation runs inside this guard: the serving contract is
-/// Status-based, so a method (or anything it calls) that throws must fail
-/// only its own query with INTERNAL — never unwind into the thread pool or
-/// the async scheduler, where an escaped exception would terminate the
-/// process.  The failpoint sits inside the try so injected throws exercise
-/// the same containment as real ones.
-template <typename Fn>
-auto InvokeMethodGuarded(Fn&& fn) -> decltype(fn()) {
-  try {
-    TPA_FAILPOINT("engine.serve_query");
-    return fn();
-  } catch (const std::exception& e) {
-    return InternalError(std::string("method threw: ") + e.what());
-  } catch (...) {
-    return InternalError("method threw a non-exception object");
-  }
-}
-
 int ResolveThreadCount(int requested) {
   if (requested > 0) return requested;
   const unsigned hardware = std::thread::hardware_concurrency();
@@ -92,6 +74,26 @@ std::vector<ScoredNode> TopKScores(const std::vector<double>& scores, int k) {
 
 std::vector<ScoredNode> TopKScores(const std::vector<float>& scores, int k) {
   return TopKScoresImpl(scores, k);
+}
+
+// Every method invocation runs inside this guard: the serving contract is
+// Status-based, so a method (or anything it calls) that throws must fail
+// only its own query with INTERNAL — never unwind into the thread pool or
+// the async scheduler, where an escaped exception would terminate the
+// process.  The failpoint sits inside the try so injected throws exercise
+// the same containment as real ones.
+template <typename Fn>
+auto QueryEngine::CallMethod(Fn&& fn) -> decltype(fn()) {
+  try {
+    TPA_FAILPOINT("engine.serve_query");
+    if (method_->SupportsConcurrentQuery()) return fn();
+    std::lock_guard<std::mutex> lock(*method_mu_);
+    return fn();
+  } catch (const std::exception& e) {
+    return InternalError(std::string("method threw: ") + e.what());
+  } catch (...) {
+    return InternalError("method threw a non-exception object");
+  }
 }
 
 QueryEngine::QueryEngine(const Graph& graph, std::unique_ptr<RwrMethod> method,
@@ -197,11 +199,7 @@ void QueryEngine::ServeTopKInto(NodeId seed, QueryResult& result,
   // engine never trades certified-lower-bound scores for the last few
   // iterations.  The win is skipping the dense merge and full-vector sort.
   topk_options.allow_early_termination = false;
-  StatusOr<TopKQueryResult> top = InvokeMethodGuarded([&] {
-    if (method_->SupportsConcurrentQuery()) {
-      return method_->QueryTopK(seed, options_.top_k, topk_options, context);
-    }
-    std::lock_guard<std::mutex> lock(*method_mu_);
+  StatusOr<TopKQueryResult> top = CallMethod([&] {
     return method_->QueryTopK(seed, options_.top_k, topk_options, context);
   });
   if (!top.ok()) {
@@ -306,48 +304,33 @@ void QueryEngine::ServeInto(NodeId seed, QueryResult& result,
     return;
   }
 
+  if (precision_ == la::Precision::kFloat32) {
+    ServeIntoT<float, &RwrMethod::QueryF32>(seed, result, context);
+  } else {
+    ServeIntoT<double, &RwrMethod::Query>(seed, result, context);
+  }
+}
+
+template <typename V, auto kQuery>
+void QueryEngine::ServeIntoT(NodeId seed, QueryResult& result,
+                             QueryContext* context) {
   // The method speaks the graph's internal storage order; translate the
   // seed in and the dense vector back out (see Permutation).
   const Permutation* permutation = graph_->permutation();
   const NodeId internal =
       permutation != nullptr ? permutation->ToInternal(seed) : seed;
-
-  if (precision_ == la::Precision::kFloat32) {
-    StatusOr<std::vector<float>> scores = InvokeMethodGuarded([&] {
-      if (method_->SupportsConcurrentQuery()) {
-        return method_->QueryF32(internal, context);
-      }
-      std::lock_guard<std::mutex> lock(*method_mu_);
-      return method_->QueryF32(internal, context);
-    });
-    if (!scores.ok()) {
-      result.status = scores.status();
-      return;
-    }
-    std::vector<float> dense = std::move(scores).value();
-    const bool cacheable = FinalizeAbort(context, result);
-    if (!result.status.ok()) return;
-    if (permutation != nullptr) dense = permutation->ScoresToExternal(dense);
-    ShapeAndCacheT<float>(seed, std::move(dense), result, cacheable);
-    return;
-  }
-
-  StatusOr<std::vector<double>> scores = InvokeMethodGuarded([&] {
-    if (method_->SupportsConcurrentQuery()) {
-      return method_->Query(internal, context);
-    }
-    std::lock_guard<std::mutex> lock(*method_mu_);
-    return method_->Query(internal, context);
+  StatusOr<std::vector<V>> scores = CallMethod([&] {
+    return (method_.get()->*kQuery)(internal, context);
   });
   if (!scores.ok()) {
     result.status = scores.status();
     return;
   }
-  std::vector<double> dense = std::move(scores).value();
+  std::vector<V> dense = std::move(scores).value();
   const bool cacheable = FinalizeAbort(context, result);
   if (!result.status.ok()) return;
   if (permutation != nullptr) dense = permutation->ScoresToExternal(dense);
-  ShapeAndCacheT<double>(seed, std::move(dense), result, cacheable);
+  ShapeAndCacheT<V>(seed, std::move(dense), result, cacheable);
 }
 
 namespace {
@@ -377,19 +360,28 @@ std::vector<std::vector<V>> FanOutBlock(const la::DenseBlockT<V>& block,
 void QueryEngine::ServeGroup(const std::vector<NodeId>& group,
                              const std::vector<QueryResult*>& slots,
                              std::span<QueryContext* const> contexts) {
-  const auto context_for = [&contexts](size_t k) {
-    return contexts.empty() ? nullptr : contexts[k];
-  };
   if (UseNativeTopKPath()) {
     // Bound-driven top-k queries never materialize dense vectors, so there
     // is no SpMM block to share across the group; each slot runs the native
     // path (this also covers the async engine's grouped chunks).
     for (size_t k = 0; k < slots.size(); ++k) {
-      ServeTopKInto(group[k], *slots[k], context_for(k));
+      ServeTopKInto(group[k], *slots[k],
+                    contexts.empty() ? nullptr : contexts[k]);
     }
     return;
   }
 
+  if (precision_ == la::Precision::kFloat32) {
+    ServeGroupT<float, &RwrMethod::QueryBatchDenseF32>(group, slots, contexts);
+  } else {
+    ServeGroupT<double, &RwrMethod::QueryBatchDense>(group, slots, contexts);
+  }
+}
+
+template <typename V, auto kBatchQuery>
+void QueryEngine::ServeGroupT(const std::vector<NodeId>& group,
+                              const std::vector<QueryResult*>& slots,
+                              std::span<QueryContext* const> contexts) {
   const Permutation* permutation = graph_->permutation();
   std::vector<NodeId> internal_group;
   const std::vector<NodeId>* method_group = &group;
@@ -401,45 +393,19 @@ void QueryEngine::ServeGroup(const std::vector<NodeId>& group,
     method_group = &internal_group;
   }
 
-  if (precision_ == la::Precision::kFloat32) {
-    StatusOr<la::DenseBlockF> block = InvokeMethodGuarded([&] {
-      if (method_->SupportsConcurrentQuery()) {
-        return method_->QueryBatchDenseF32(*method_group, contexts);
-      }
-      std::lock_guard<std::mutex> lock(*method_mu_);
-      return method_->QueryBatchDenseF32(*method_group, contexts);
-    });
-    if (!block.ok()) {
-      for (QueryResult* slot : slots) slot->status = block.status();
-      return;
-    }
-    std::vector<std::vector<float>> dense = FanOutBlock(*block, permutation);
-    for (size_t k = 0; k < slots.size(); ++k) {
-      const bool cacheable = FinalizeAbort(context_for(k), *slots[k]);
-      if (!slots[k]->status.ok()) continue;
-      ShapeAndCacheT<float>(group[k], std::move(dense[k]), *slots[k],
-                            cacheable);
-    }
-    return;
-  }
-
-  StatusOr<la::DenseBlock> block = InvokeMethodGuarded([&] {
-    if (method_->SupportsConcurrentQuery()) {
-      return method_->QueryBatchDense(*method_group, contexts);
-    }
-    std::lock_guard<std::mutex> lock(*method_mu_);
-    return method_->QueryBatchDense(*method_group, contexts);
+  StatusOr<la::DenseBlockT<V>> block = CallMethod([&] {
+    return (method_.get()->*kBatchQuery)(*method_group, contexts);
   });
   if (!block.ok()) {
     for (QueryResult* slot : slots) slot->status = block.status();
     return;
   }
-  std::vector<std::vector<double>> dense = FanOutBlock(*block, permutation);
+  std::vector<std::vector<V>> dense = FanOutBlock(*block, permutation);
   for (size_t k = 0; k < slots.size(); ++k) {
-    const bool cacheable = FinalizeAbort(context_for(k), *slots[k]);
+    QueryContext* context = contexts.empty() ? nullptr : contexts[k];
+    const bool cacheable = FinalizeAbort(context, *slots[k]);
     if (!slots[k]->status.ok()) continue;
-    ShapeAndCacheT<double>(group[k], std::move(dense[k]), *slots[k],
-                           cacheable);
+    ShapeAndCacheT<V>(group[k], std::move(dense[k]), *slots[k], cacheable);
   }
 }
 

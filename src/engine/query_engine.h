@@ -209,6 +209,12 @@ class QueryEngine {
   void ServeInto(NodeId seed, QueryResult& result,
                  QueryContext* context = nullptr);
 
+  /// ServeInto's dense path at the engine's tier V through the method's
+  /// entry of that tier (`kQuery`: Query or QueryF32), once the seed is
+  /// known valid, uncached and not routed to the native top-k path.
+  template <typename V, auto kQuery>
+  void ServeIntoT(NodeId seed, QueryResult& result, QueryContext* context);
+
   /// Whether top-k requests route through the method's native bound-driven
   /// path (RwrMethod::QueryTopK) instead of dense-query-then-partial-sort.
   /// Requires top_k > 0 and a method opting in via SupportsTopKQuery, and
@@ -261,16 +267,29 @@ class QueryEngine {
   void ShapeAndCacheT(NodeId seed, std::vector<V> dense, QueryResult& result,
                       bool cacheable = true);
 
-  /// Serves one SpMM group: runs QueryBatchDense (or the fp32 flavor) for
-  /// `group` (locking for non-concurrent methods) and fans the block back
-  /// into the result slots `slots[k]` ← vector k.  On failure every slot
-  /// gets the group status.  `contexts`, when non-empty, aligns with
-  /// `group`: an aborting seed is frozen out of the shared SpMM (identical
-  /// to aborting a scalar run) and its slot fails or degrades per
-  /// FinalizeAbort while the rest of the group completes normally.
+  /// Serves one SpMM group: runs the method's batch entry at the engine's
+  /// tier for `group` (locking for non-concurrent methods) and fans the
+  /// block back into the result slots `slots[k]` ← vector k.  On failure
+  /// every slot gets the group status.  `contexts`, when non-empty, aligns
+  /// with `group`: an aborting seed is frozen out of the shared SpMM
+  /// (identical to aborting a scalar run) and its slot fails or degrades
+  /// per FinalizeAbort while the rest of the group completes normally.
   void ServeGroup(const std::vector<NodeId>& group,
                   const std::vector<QueryResult*>& slots,
                   std::span<QueryContext* const> contexts = {});
+
+  /// ServeGroup's SpMM call and fan-out at the engine's tier V
+  /// (`kBatchQuery`: QueryBatchDense or QueryBatchDenseF32).
+  template <typename V, auto kBatchQuery>
+  void ServeGroupT(const std::vector<NodeId>& group,
+                   const std::vector<QueryResult*>& slots,
+                   std::span<QueryContext* const> contexts);
+
+  /// Runs `fn`, a call into the method, so that a throw fails only this
+  /// call with INTERNAL, holding method_mu_ unless the method
+  /// SupportsConcurrentQuery.
+  template <typename Fn>
+  auto CallMethod(Fn&& fn) -> decltype(fn());
 
   const Graph* graph_;  // not owned
   QueryEngineOptions options_;

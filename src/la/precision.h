@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string_view>
+#include <type_traits>
 
 namespace tpa::la {
 
@@ -18,6 +19,11 @@ enum class Precision {
   kFloat64,
   kFloat32,
 };
+
+/// The tier whose storage type is V (double or float).
+template <typename V>
+inline constexpr Precision kPrecisionOf =
+    std::is_same_v<V, float> ? Precision::kFloat32 : Precision::kFloat64;
 
 /// Storage bytes of one value at the given tier.
 constexpr size_t PrecisionValueBytes(Precision precision) {

@@ -2,7 +2,6 @@
 #define TPA_METHOD_POWER_ITERATION_H_
 
 #include "core/cpi.h"
-#include "la/vector_ops.h"
 #include "method/rwr_method.h"
 
 namespace tpa {
@@ -32,20 +31,7 @@ class PowerIterationRwr final : public RwrMethod {
   StatusOr<std::vector<double>> Query(NodeId seed,
                                       QueryContext* context =
                                           nullptr) override {
-    if (graph_ == nullptr) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    if (graph_->value_precision() == la::Precision::kFloat32) {
-      // fp32 graph: run the fp32 loop and widen once at the boundary.
-      TPA_ASSIGN_OR_RETURN(
-          Cpi::ResultF result,
-          Cpi::RunT<float>(*graph_, {seed}, options_, nullptr, context));
-      return la::ConvertVector<double>(result.scores);
-    }
-    TPA_ASSIGN_OR_RETURN(
-        Cpi::Result result,
-        Cpi::Run(*graph_, {seed}, options_, nullptr, context));
-    return std::move(result.scores);
+    return QueryT<double>(seed, context);
   }
 
   /// Reference native batch path: CPI to convergence for all seeds as one
@@ -54,18 +40,7 @@ class PowerIterationRwr final : public RwrMethod {
   StatusOr<la::DenseBlock> QueryBatchDense(
       std::span<const NodeId> seeds,
       std::span<QueryContext* const> contexts = {}) override {
-    if (graph_ == nullptr) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    if (graph_->value_precision() == la::Precision::kFloat32) {
-      TPA_ASSIGN_OR_RETURN(
-          la::DenseBlockF block,
-          Cpi::RunBatchT<float>(*graph_, seeds, options_, nullptr, contexts));
-      la::DenseBlock wide;
-      la::ConvertBlock(block, wide);
-      return wide;
-    }
-    return Cpi::RunBatch(*graph_, seeds, options_, nullptr, contexts);
+    return QueryBatchDenseT<double>(seeds, contexts);
   }
 
   bool SupportsBatchQuery() const override { return true; }
@@ -80,9 +55,6 @@ class PowerIterationRwr final : public RwrMethod {
                                           nullptr) override {
     if (graph_ == nullptr) {
       return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    if (seed >= graph_->num_nodes()) {
-      return OutOfRangeError("seed node out of range");
     }
     Cpi::TopKRunOptions run;
     run.k = k;
@@ -104,28 +76,13 @@ class PowerIterationRwr final : public RwrMethod {
   StatusOr<std::vector<float>> QueryF32(NodeId seed,
                                         QueryContext* context =
                                             nullptr) override {
-    if (graph_ == nullptr) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    if (graph_->value_precision() != la::Precision::kFloat32) {
-      return FailedPreconditionError("graph is not materialized at fp32");
-    }
-    TPA_ASSIGN_OR_RETURN(
-        Cpi::ResultF result,
-        Cpi::RunT<float>(*graph_, {seed}, options_, nullptr, context));
-    return std::move(result.scores);
+    return QueryT<float>(seed, context);
   }
 
   StatusOr<la::DenseBlockF> QueryBatchDenseF32(
       std::span<const NodeId> seeds,
       std::span<QueryContext* const> contexts = {}) override {
-    if (graph_ == nullptr) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    if (graph_->value_precision() != la::Precision::kFloat32) {
-      return FailedPreconditionError("graph is not materialized at fp32");
-    }
-    return Cpi::RunBatchT<float>(*graph_, seeds, options_, nullptr, contexts);
+    return QueryBatchDenseT<float>(seeds, contexts);
   }
 
   size_t PreprocessedBytes() const override { return 0; }
@@ -134,6 +91,27 @@ class PowerIterationRwr final : public RwrMethod {
   bool SupportsConcurrentQuery() const override { return true; }
 
  private:
+  /// The dense entries at tier V; the Cpi run refuses a V that is not the
+  /// graph's tier with FAILED_PRECONDITION.
+  template <typename V>
+  StatusOr<std::vector<V>> QueryT(NodeId seed, QueryContext* context) {
+    if (graph_ == nullptr) {
+      return FailedPreconditionError("Preprocess must be called before Query");
+    }
+    TPA_ASSIGN_OR_RETURN(
+        Cpi::ResultT<V> result,
+        Cpi::RunT<V>(*graph_, {seed}, options_, nullptr, context));
+    return std::move(result.scores);
+  }
+  template <typename V>
+  StatusOr<la::DenseBlockT<V>> QueryBatchDenseT(
+      std::span<const NodeId> seeds, std::span<QueryContext* const> contexts) {
+    if (graph_ == nullptr) {
+      return FailedPreconditionError("Preprocess must be called before Query");
+    }
+    return Cpi::RunBatchT<V>(*graph_, seeds, options_, nullptr, contexts);
+  }
+
   CpiOptions options_;
   const Graph* graph_ = nullptr;
 };

@@ -24,8 +24,15 @@ StatusOr<TopKQueryResult> RwrMethod::QueryTopK(NodeId seed, int k,
   return result;
 }
 
-StatusOr<la::DenseBlock> RwrMethod::QueryBatchDense(
-    std::span<const NodeId> seeds, std::span<QueryContext* const> contexts) {
+namespace {
+
+/// The default batch path at tier V: the method's entry of that tier
+/// (`kQuery`: Query or QueryF32) per seed, stacked into a block (identical
+/// results, no shared traversal).
+template <typename V, auto kQuery>
+StatusOr<la::DenseBlockT<V>> QueryPerSeed(
+    RwrMethod& method, std::span<const NodeId> seeds,
+    std::span<QueryContext* const> contexts) {
   if (seeds.empty()) {
     return InvalidArgumentError("seed batch must be non-empty");
   }
@@ -33,18 +40,26 @@ StatusOr<la::DenseBlock> RwrMethod::QueryBatchDense(
     return InvalidArgumentError(
         "contexts must be empty or align with the seed batch");
   }
-  la::DenseBlock block;
+  la::DenseBlockT<V> block;
   for (size_t b = 0; b < seeds.size(); ++b) {
     QueryContext* context = contexts.empty() ? nullptr : contexts[b];
-    TPA_ASSIGN_OR_RETURN(std::vector<double> scores,
-                         Query(seeds[b], context));
+    TPA_ASSIGN_OR_RETURN(std::vector<V> scores,
+                         (method.*kQuery)(seeds[b], context));
     if (b == 0) block.Resize(scores.size(), seeds.size());
     if (scores.size() != block.rows()) {
-      return InternalError("Query returned inconsistently sized vectors");
+      return InternalError(
+          "per-seed queries returned inconsistently sized vectors");
     }
     block.SetVector(b, scores);
   }
   return block;
+}
+
+}  // namespace
+
+StatusOr<la::DenseBlock> RwrMethod::QueryBatchDense(
+    std::span<const NodeId> seeds, std::span<QueryContext* const> contexts) {
+  return QueryPerSeed<double, &RwrMethod::Query>(*this, seeds, contexts);
 }
 
 StatusOr<std::vector<float>> RwrMethod::QueryF32(NodeId seed,
@@ -56,25 +71,7 @@ StatusOr<std::vector<float>> RwrMethod::QueryF32(NodeId seed,
 
 StatusOr<la::DenseBlockF> RwrMethod::QueryBatchDenseF32(
     std::span<const NodeId> seeds, std::span<QueryContext* const> contexts) {
-  if (seeds.empty()) {
-    return InvalidArgumentError("seed batch must be non-empty");
-  }
-  if (!contexts.empty() && contexts.size() != seeds.size()) {
-    return InvalidArgumentError(
-        "contexts must be empty or align with the seed batch");
-  }
-  la::DenseBlockF block;
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    QueryContext* context = contexts.empty() ? nullptr : contexts[b];
-    TPA_ASSIGN_OR_RETURN(std::vector<float> scores,
-                         QueryF32(seeds[b], context));
-    if (b == 0) block.Resize(scores.size(), seeds.size());
-    if (scores.size() != block.rows()) {
-      return InternalError("QueryF32 returned inconsistently sized vectors");
-    }
-    block.SetVector(b, scores);
-  }
-  return block;
+  return QueryPerSeed<float, &RwrMethod::QueryF32>(*this, seeds, contexts);
 }
 
 }  // namespace tpa

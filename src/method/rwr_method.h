@@ -25,6 +25,12 @@ namespace tpa {
 /// the method's (peak) preprocessing footprint exceeds the budget — the
 /// experiments render that as the paper's "out of memory" missing bars.
 /// Implementations borrow the graph; it must outlive the method object.
+///
+/// Each dense entry point serves one precision tier: Query and
+/// QueryBatchDense an fp64 graph, QueryF32 and QueryBatchDenseF32 an fp32
+/// graph (Graph::value_precision).  A method that runs at both tiers
+/// refuses the entry of the tier its graph is not at with
+/// FAILED_PRECONDITION instead of converting between tiers.
 class RwrMethod {
  public:
   virtual ~RwrMethod() = default;
@@ -104,13 +110,14 @@ class RwrMethod {
   /// path: no fp64 dense vector is materialized anywhere between the seed
   /// and the returned scores.  Only meaningful for methods that return true
   /// from SupportsPrecision(kFloat32) and were preprocessed against an fp32
-  /// graph; the default fails with UNIMPLEMENTED.
+  /// graph (FAILED_PRECONDITION on an fp64 one); the default fails with
+  /// UNIMPLEMENTED.
   virtual StatusOr<std::vector<float>> QueryF32(NodeId seed,
                                                 QueryContext* context =
                                                     nullptr);
 
   /// fp32 flavor of QueryBatchDense; vector b must be bitwise-identical to
-  /// QueryF32(seeds[b]).  Default: UNIMPLEMENTED.
+  /// QueryF32(seeds[b]).  The default loops QueryF32 per seed.
   virtual StatusOr<la::DenseBlockF> QueryBatchDenseF32(
       std::span<const NodeId> seeds,
       std::span<QueryContext* const> contexts = {});

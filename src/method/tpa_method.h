@@ -48,27 +48,21 @@ class TpaMethod final : public RwrMethod {
     return OkStatus();
   }
 
+  /// The single-seed personalized path is bitwise Tpa::Query and threads
+  /// the cooperative abort into the family propagation.
   StatusOr<std::vector<double>> Query(NodeId seed,
                                       QueryContext* context =
                                           nullptr) override {
-    if (!tpa_.has_value()) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    // The single-seed personalized path is bitwise Tpa::Query and threads
-    // the cooperative abort into the family propagation.
-    return tpa_->QueryPersonalized({seed}, context);
+    return QueryT<double>(seed, context);
   }
 
   /// Native SpMM path: the S family iterations for the whole batch run as
-  /// one multi-vector chain (Tpa::QueryBatch), bitwise-identical per seed
+  /// one multi-vector chain (Tpa::QueryBatchT), bitwise-identical per seed
   /// to Query.
   StatusOr<la::DenseBlock> QueryBatchDense(
       std::span<const NodeId> seeds,
       std::span<QueryContext* const> contexts = {}) override {
-    if (!tpa_.has_value()) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    return tpa_->QueryBatch(seeds, contexts);
+    return QueryBatchDenseT<double>(seeds, contexts);
   }
 
   bool SupportsBatchQuery() const override { return true; }
@@ -82,10 +76,6 @@ class TpaMethod final : public RwrMethod {
     if (!tpa_.has_value()) {
       return FailedPreconditionError("Preprocess must be called before Query");
     }
-    if (seed >= tpa_->stranger_order().size()) {
-      return OutOfRangeError("seed node out of range");
-    }
-    if (k < 0) return InvalidArgumentError("k must be non-negative");
     return tpa_->QueryTopK(seed, k, options, context);
   }
 
@@ -98,25 +88,13 @@ class TpaMethod final : public RwrMethod {
   StatusOr<std::vector<float>> QueryF32(NodeId seed,
                                         QueryContext* context =
                                             nullptr) override {
-    if (!tpa_.has_value()) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    if (tpa_->precision() != la::Precision::kFloat32) {
-      return FailedPreconditionError("graph is not materialized at fp32");
-    }
-    return tpa_->QueryPersonalizedF({seed}, context);
+    return QueryT<float>(seed, context);
   }
 
   StatusOr<la::DenseBlockF> QueryBatchDenseF32(
       std::span<const NodeId> seeds,
       std::span<QueryContext* const> contexts = {}) override {
-    if (!tpa_.has_value()) {
-      return FailedPreconditionError("Preprocess must be called before Query");
-    }
-    if (tpa_->precision() != la::Precision::kFloat32) {
-      return FailedPreconditionError("graph is not materialized at fp32");
-    }
-    return tpa_->QueryBatchF(seeds, contexts);
+    return QueryBatchDenseT<float>(seeds, contexts);
   }
 
   size_t PreprocessedBytes() const override {
@@ -132,6 +110,24 @@ class TpaMethod final : public RwrMethod {
   const Tpa* tpa() const { return tpa_.has_value() ? &*tpa_ : nullptr; }
 
  private:
+  /// The dense entries at tier V; Tpa refuses a V that is not the graph's
+  /// tier with FAILED_PRECONDITION.
+  template <typename V>
+  StatusOr<std::vector<V>> QueryT(NodeId seed, QueryContext* context) {
+    if (!tpa_.has_value()) {
+      return FailedPreconditionError("Preprocess must be called before Query");
+    }
+    return tpa_->QueryPersonalizedT<V>({seed}, context);
+  }
+  template <typename V>
+  StatusOr<la::DenseBlockT<V>> QueryBatchDenseT(
+      std::span<const NodeId> seeds, std::span<QueryContext* const> contexts) {
+    if (!tpa_.has_value()) {
+      return FailedPreconditionError("Preprocess must be called before Query");
+    }
+    return tpa_->QueryBatchT<V>(seeds, contexts);
+  }
+
   TpaOptions options_;
   std::optional<Tpa> tpa_;
 };

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/cpi.h"
@@ -21,6 +23,8 @@
 #include "method/power_iteration.h"
 #include "method/tpa_method.h"
 #include "util/check.h"
+#include "util/memory_budget.h"
+#include "util/status.h"
 
 namespace tpa {
 namespace {
@@ -157,7 +161,7 @@ TEST(TpaPrecisionTest, Fp32QuerySurfacesAreConsistent) {
   }
 
   const std::vector<NodeId> seeds = {123, 4, 577};
-  auto batch = tpa->QueryBatchF(seeds);
+  auto batch = tpa->QueryBatchT<float>(seeds);
   ASSERT_TRUE(batch.ok());
   for (size_t b = 0; b < seeds.size(); ++b) {
     const std::vector<float> column = batch->ExtractVector(b);
@@ -192,14 +196,60 @@ TEST(MethodPrecisionTest, PowerIterationFp32MatchesOracleClosely) {
   ASSERT_TRUE(scores.ok());
   // CPI truncation at 1e-8 plus fp32 rounding.
   EXPECT_LE(la::L1Distance(*scores, *exact), 1e-4);
+}
 
-  // The fp64-typed Query on an fp32 graph is the widened fp32 result.
-  auto widened = method.Query(77);
-  ASSERT_TRUE(widened.ok());
-  ASSERT_EQ(widened->size(), scores->size());
-  for (size_t i = 0; i < scores->size(); ++i) {
-    ASSERT_EQ((*widened)[i], static_cast<double>((*scores)[i])) << i;
+/// Every tier-typed entry (Cpi runs, Tpa serving, the RwrMethod dense
+/// entries) called at the tier `graph` is not materialized at must refuse
+/// with FAILED_PRECONDITION — never CHECK-fail, never widen or narrow.  V
+/// is the graph's tier, W the other one.
+template <typename V, typename W>
+void ExpectOtherTierRefused(const Graph& graph) {
+  ASSERT_EQ(graph.value_precision(), la::kPrecisionOf<V>);
+  const std::vector<NodeId> seeds = {5, 17};
+  const auto refused = [](const auto& result) {
+    return result.status().code() == StatusCode::kFailedPrecondition;
+  };
+
+  const CpiOptions cpi{};
+  const std::vector<W> uniform(graph.num_nodes(), W{0});
+  EXPECT_TRUE(refused(Cpi::RunT<W>(graph, {5}, cpi)));
+  EXPECT_TRUE(refused(Cpi::RunBatchT<W>(graph, seeds, cpi)));
+  EXPECT_TRUE(refused(Cpi::RunTopKT<W>(graph, {5}, cpi, {})));
+  EXPECT_TRUE(refused(Cpi::RunWithSeedVectorT<W>(graph, uniform, cpi)));
+  EXPECT_TRUE(refused(Cpi::RunWindowedT<W>(graph, uniform, {0, 5}, cpi)));
+
+  auto tpa = Tpa::Preprocess(graph, {});
+  ASSERT_TRUE(tpa.ok());
+  EXPECT_TRUE(refused(tpa->QueryPersonalizedT<W>({5})));
+  EXPECT_TRUE(refused(tpa->QueryBatchT<W>(seeds)));
+  EXPECT_TRUE(tpa->QueryPersonalizedT<V>({5}).ok());
+  EXPECT_TRUE(tpa->QueryBatchT<V>(seeds).ok());
+
+  MemoryBudget unlimited;
+  TpaMethod tpa_method;
+  PowerIterationRwr power;
+  const std::vector<RwrMethod*> methods = {&tpa_method, &power};
+  for (RwrMethod* method : methods) {
+    SCOPED_TRACE(std::string(method->name()));
+    ASSERT_TRUE(method->Preprocess(graph, unlimited).ok());
+    if constexpr (std::is_same_v<V, double>) {
+      EXPECT_TRUE(refused(method->QueryF32(5)));
+      EXPECT_TRUE(refused(method->QueryBatchDenseF32(seeds)));
+      EXPECT_TRUE(method->Query(5).ok());
+      EXPECT_TRUE(method->QueryBatchDense(seeds).ok());
+    } else {
+      EXPECT_TRUE(refused(method->Query(5)));
+      EXPECT_TRUE(refused(method->QueryBatchDense(seeds)));
+      EXPECT_TRUE(method->QueryF32(5).ok());
+      EXPECT_TRUE(method->QueryBatchDenseF32(seeds).ok());
+    }
   }
+}
+
+TEST(MethodPrecisionTest, TierTypedEntriesRefuseTheOtherTier) {
+  const TierPair graphs = MakeTierPair(31);
+  ExpectOtherTierRefused<double, float>(graphs.fp64);
+  ExpectOtherTierRefused<float, double>(graphs.fp32);
 }
 
 }  // namespace
